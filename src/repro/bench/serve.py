@@ -10,8 +10,8 @@ The same query is also run in-process (one session, one thread, a
 prepared statement in a closed loop) for the same duration.  The gated
 ratio — served throughput at least half of in-process throughput — caps
 what the network layer is allowed to cost: protocol encode/decode,
-asyncio scheduling and the executor hop must stay small next to query
-execution.  The workload scans ~2000 rows per query precisely so the
+asyncio scheduling and the one worker-pool hop per pipelined batch must
+stay small next to query execution.  The workload scans ~2000 rows per query precisely so the
 comparison measures serving overhead against *real* per-query work, not
 against a no-op.
 """

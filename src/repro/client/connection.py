@@ -12,29 +12,25 @@ same hierarchy it would in-process.
 
 Values travel in text format and are decoded by result-column OID, so
 rows come back as the Python values the engine produced (int, float,
-str, bool, None).
+str, bool, None).  Every statement method receives through one loop,
+:meth:`AsyncConnection._drain_until_ready`, which hands DataRow payloads
+straight to the decoder compiled for the current RowDescription
+(:func:`repro.server.protocol.compile_row_decoder`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, AsyncIterator, Callable, Sequence
+from typing import Any, AsyncIterator, Callable
 from dataclasses import dataclass, field
 
 from ..errors import InterfaceError, OperationalError, ProtocolError
 from ..server import protocol
 
 
-def _decode(values: Sequence["bytes | None"],
-            description: "Sequence[tuple[str, int]] | None") -> tuple:
-    """Wire values -> Python values per a (name, oid) description."""
-    if description is None or len(values) != len(description):
-        raise ProtocolError(
-            f"DataRow carries {len(values)} value(s) for "
-            f"{len(description or ())} described column(s)")
-    return tuple(protocol.decode_text(value, oid)
-                 for value, (_, oid) in zip(values, description))
+#: A compiled ``DataRow payload -> row tuple`` decoder.
+RowDecoder = Callable[[bytes], "tuple[Any, ...]"]
 
 
 @dataclass
@@ -68,6 +64,28 @@ class ClientResult:
         return -1
 
 
+class _Cycle:
+    """What one response cycle — everything up to ReadyForQuery —
+    carried."""
+
+    __slots__ = ("results", "last", "param_oids", "suspended", "decode")
+
+    def __init__(self, decode: "RowDecoder | None") -> None:
+        #: one per CommandComplete, in order
+        self.results: list[ClientResult] = []
+        #: what arrived after the last CommandComplete
+        self.last = ClientResult()
+        self.param_oids: tuple = ()
+        self.suspended = False
+        #: the decoder of the latest RowDescription
+        self.decode = decode
+
+    @property
+    def first(self) -> ClientResult:
+        """The result of a single-statement cycle (complete or not)."""
+        return self.results[0] if self.results else self.last
+
+
 class AsyncConnection:
     """One server session.  Create with :func:`connect`; not safe for
     concurrent use from multiple tasks — issue one statement at a time
@@ -86,17 +104,21 @@ class AsyncConnection:
 
     # -- plumbing -------------------------------------------------------------
 
+    async def _fill(self) -> None:
+        """Read more bytes into the frame buffer."""
+        data = await self._reader.read(1 << 16)
+        if not data:
+            self._closed = True
+            raise OperationalError("server closed the connection")
+        self._stream.feed(data)
+
     async def _recv(self) -> Any:
         """The next backend message (decoded)."""
         while True:
             framed = self._stream.next_message()
             if framed is not None:
                 return protocol.parse_backend(*framed)
-            data = await self._reader.read(1 << 16)
-            if not data:
-                self._closed = True
-                raise OperationalError("server closed the connection")
-            self._stream.feed(data)
+            await self._fill()
 
     async def _send(self, *messages: Any) -> None:
         if self._closed:
@@ -110,28 +132,57 @@ class AsyncConnection:
                 f"connection lost: {exc}") from exc
 
     async def _drain_until_ready(
-            self, error: "BaseException | None" = None,
-            on_message: "Callable[[Any], None] | None" = None) -> None:
-        """Consume messages up to ReadyForQuery, then raise the first
-        error seen (if any).  *on_message* observes every message."""
+            self, decode: "RowDecoder | None" = None) -> _Cycle:
+        """The one receive loop: consume messages up to ReadyForQuery,
+        then raise the first error seen (if any).  DataRow payloads go
+        straight to the decoder of the latest RowDescription — or to
+        *decode*, for a portal described when it was prepared."""
+        cycle = _Cycle(decode)
+        rows = cycle.last.rows
+        error: "BaseException | None" = None
+        next_message = self._stream.next_message
         while True:
-            message = await self._recv()
+            framed = next_message()
+            if framed is None:
+                await self._fill()
+                continue
+            tag, payload = framed
+            if tag == b"D":
+                if decode is None:
+                    raise ProtocolError("DataRow before any RowDescription")
+                rows.append(decode(payload))
+                continue
+            message = protocol.parse_backend(tag, payload)
             if isinstance(message, protocol.ReadyForQuery):
                 self.transaction_status = message.status
                 if error is not None:
                     raise error
-                return
-            if isinstance(message, protocol.ErrorResponse) and \
-                    not isinstance(message, protocol.NoticeResponse):
+                return cycle
+            if isinstance(message, protocol.NoticeResponse):
+                cycle.last.notices.append(message.message)
+            elif isinstance(message, protocol.ErrorResponse):
                 if error is None:
                     error = protocol.exception_for(
                         message.sqlstate, message.message)
                 if message.severity == "FATAL":
                     self._closed = True
                     raise error
-                continue
-            if on_message is not None:
-                on_message(message)
+            elif isinstance(message, protocol.RowDescription):
+                cycle.last.description = tuple(
+                    (f.name, f.type_oid) for f in message.fields)
+                cycle.decode = decode = protocol.compile_row_decoder(message)
+            elif isinstance(message, protocol.CommandComplete):
+                cycle.last.tag = message.tag
+                cycle.results.append(cycle.last)
+                cycle.last = ClientResult()
+                rows = cycle.last.rows
+            elif isinstance(message, protocol.EmptyQueryResponse):
+                cycle.last = ClientResult()
+                rows = cycle.last.rows
+            elif isinstance(message, protocol.ParameterDescription):
+                cycle.param_oids = message.oids
+            elif isinstance(message, protocol.PortalSuspended):
+                cycle.suspended = True
 
     # -- statements -----------------------------------------------------------
 
@@ -139,28 +190,7 @@ class AsyncConnection:
         """Run *sql* via the **simple** query protocol; returns one
         :class:`ClientResult` per statement in the string."""
         await self._send(protocol.Query(sql))
-        results: list[ClientResult] = []
-        current = ClientResult()
-
-        def observe(message):
-            nonlocal current
-            if isinstance(message, protocol.RowDescription):
-                current.description = tuple(
-                    (f.name, f.type_oid) for f in message.fields)
-            elif isinstance(message, protocol.DataRow):
-                current.rows.append(
-                    _decode(message.values, current.description))
-            elif isinstance(message, protocol.CommandComplete):
-                current.tag = message.tag
-                results.append(current)
-                current = ClientResult()
-            elif isinstance(message, protocol.EmptyQueryResponse):
-                current = ClientResult()
-            elif isinstance(message, protocol.NoticeResponse):
-                current.notices.append(message.message)
-
-        await self._drain_until_ready(on_message=observe)
-        return results
+        return (await self._drain_until_ready()).results
 
     async def execute(self, sql: str, params: tuple = ()) -> ClientResult:
         """Run one statement via the **extended** protocol (unnamed
@@ -172,25 +202,7 @@ class AsyncConnection:
             protocol.Describe("P", ""),
             protocol.Execute("", 0),
             protocol.Sync())
-        return await self._collect_execution()
-
-    async def _collect_execution(self) -> ClientResult:
-        result = ClientResult()
-
-        def observe(message):
-            if isinstance(message, protocol.RowDescription):
-                result.description = tuple(
-                    (f.name, f.type_oid) for f in message.fields)
-            elif isinstance(message, protocol.DataRow):
-                result.rows.append(
-                    _decode(message.values, result.description))
-            elif isinstance(message, protocol.CommandComplete):
-                result.tag = message.tag
-            elif isinstance(message, protocol.NoticeResponse):
-                result.notices.append(message.message)
-
-        await self._drain_until_ready(on_message=observe)
-        return result
+        return (await self._drain_until_ready()).first
 
     async def prepare(self, sql: str,
                       name: "str | None" = None) -> "AsyncPreparedStatement":
@@ -201,16 +213,11 @@ class AsyncConnection:
             protocol.Parse(name, sql),
             protocol.Describe("S", name),
             protocol.Sync())
+        cycle = await self._drain_until_ready()
         statement = AsyncPreparedStatement(self, name, sql)
-
-        def observe(message):
-            if isinstance(message, protocol.ParameterDescription):
-                statement.param_oids = message.oids
-            elif isinstance(message, protocol.RowDescription):
-                statement.description = tuple(
-                    (f.name, f.type_oid) for f in message.fields)
-
-        await self._drain_until_ready(on_message=observe)
+        statement.param_oids = cycle.param_oids
+        statement.description = cycle.last.description
+        statement._decode = cycle.decode
         return statement
 
     # -- transactions ---------------------------------------------------------
@@ -275,6 +282,7 @@ class AsyncPreparedStatement:
         self.sql = sql
         self.param_oids: tuple = ()
         self.description: "tuple | None" = None
+        self._decode: "RowDecoder | None" = None
 
     @property
     def param_count(self) -> int:
@@ -288,7 +296,7 @@ class AsyncPreparedStatement:
             protocol.Describe("P", ""),
             protocol.Execute("", 0),
             protocol.Sync())
-        return await self._conn._collect_execution()
+        return (await self._conn._drain_until_ready()).first
 
     async def stream(self, params: tuple = (), batch: int = 100
                      ) -> "AsyncIterator[tuple]":
@@ -302,25 +310,14 @@ class AsyncPreparedStatement:
                           tuple(protocol.encode_text(p) for p in params)),
             protocol.Sync())
         await conn._drain_until_ready()
-        description = self.description
         try:
             while True:
                 await conn._send(protocol.Execute(portal, batch),
                                  protocol.Sync())
-                rows: list = []
-                suspended = False
-
-                def observe(message):
-                    nonlocal suspended
-                    if isinstance(message, protocol.DataRow):
-                        rows.append(_decode(message.values, description))
-                    elif isinstance(message, protocol.PortalSuspended):
-                        suspended = True
-
-                await conn._drain_until_ready(on_message=observe)
-                for row in rows:
+                cycle = await conn._drain_until_ready(self._decode)
+                for row in cycle.first.rows:
                     yield row
-                if not suspended:
+                if not cycle.suspended:
                     return
         finally:
             if not conn.closed:

@@ -1,10 +1,17 @@
 """Per-client backend session: wire messages onto an Engine session.
 
 One :class:`BackendSession` exists per authenticated client connection.
-Its methods are synchronous — the asyncio server runs them on the worker
-thread pool — and return iterators of encoded wire messages, so large
-results stream out in bounded chunks instead of materializing a whole
-response.
+Its unit of work is the **batch**: the server hands it every message the
+client has pipelined up to a Sync / Query / Flush in one worker-thread
+call (:meth:`BackendSession.run_batch`), it runs them in order against
+the engine session and returns the encoded response.  A response is
+returned in pieces of at most :data:`PIECE_BYTES` plus one row —
+:meth:`BackendSession.next_piece` resumes the batch for the next one —
+so a large result streams out in bounded pieces instead of materializing
+as one buffer, and a batch whose response fits one piece costs exactly
+one worker call.  Calls on one session never overlap (a lock orders a
+late :meth:`close` after the piece in progress), and none of this code
+ever runs on the event loop.
 
 It owns:
 
@@ -14,26 +21,31 @@ It owns:
   portals (Bind), including the ``$n`` -> ``?`` placeholder translation
   that lets PostgreSQL-style drivers prepare against the engine's
   ``qmark`` parameter style;
-* the *failed transaction* state machine: after an error inside an
-  explicit transaction, every statement except COMMIT / ROLLBACK is
-  refused with SQLSTATE 25P02 until the transaction block ends —
-  matching PostgreSQL, and proven by the error-recovery integration
-  tests.
+* the two error-recovery state machines.  *Skip until Sync*: after an
+  extended-protocol error every message — a simple Query included — is
+  discarded until the next Sync (PostgreSQL's ``ignore_till_sync``).
+  *Failed transaction*: after an error inside an explicit transaction,
+  every statement except COMMIT / ROLLBACK is refused with SQLSTATE
+  25P02 until the transaction block ends.
 
-:meth:`close` tears everything down — every open portal's streaming
-:class:`~repro.api.result.Result` is closed first, so a client that
-vanishes mid-stream releases its pinned snapshot and its leased physical
-plan instance (the disconnect leak test pins exactly this).
+:meth:`close` tears everything down — a batch abandoned between pieces
+is closed first, then every open portal's streaming
+:class:`~repro.api.result.Result`, so a client that vanishes mid-stream
+releases its pinned snapshot and its leased physical plan instance (the
+disconnect leak test pins exactly this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+import threading
+from dataclasses import dataclass
+from typing import Generator, Sequence
 
 from ..api.connection import Connection
 from ..api.result import Result
-from ..errors import OperationalError, ProtocolError, TransactionError
+from ..errors import (
+    OperationalError, ProtocolError, ReproError, TransactionError,
+)
 from ..schema import Schema
 from ..sql.ast import (
     AnalyzeStmt, BeginStmt, CheckpointStmt, CommitStmt, CreateIndexStmt,
@@ -43,8 +55,15 @@ from ..sql.ast import (
 from ..sql.parser import parse_statement, parse_statements
 from . import protocol
 
-#: Rows per streamed chunk when the client did not bound Execute.
+#: Rows pulled from a result per fetch while streaming it out.
 STREAM_CHUNK = 256
+#: Response bytes after which a batch hands back a piece: no piece is
+#: larger than this plus one row.
+PIECE_BYTES = 1 << 16
+
+#: A step of a batch: appends to the response buffer it is handed and
+#: yields the buffer's content whenever it has grown into a full piece.
+Pieces = Generator[bytes, None, None]
 
 
 def translate_placeholders(sql: str) -> tuple[str, tuple[int, ...] | None]:
@@ -204,6 +223,9 @@ class BackendSession:
         self.statements: dict[str, PreparedEntry] = {}
         self.portals: dict[str, Portal] = {}
         self.failed_txn = False
+        self.skip_until_sync = False
+        self._batch: Generator[bytes, None, bytes] | None = None
+        self._lock = threading.Lock()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -213,17 +235,86 @@ class BackendSession:
         return self._closed
 
     def close(self) -> None:
-        """Tear the session down (idempotent): close every portal's
-        streaming result — releasing pinned snapshots and leased plan
-        instances — then the engine session itself."""
-        if self._closed:
-            return
-        self._closed = True
-        portals, self.portals = self.portals, {}
-        for portal in portals.values():
-            portal.close()
-        self.statements.clear()
-        self.conn.close()
+        """Tear the session down (idempotent): close a batch abandoned
+        between pieces and every portal's streaming result — releasing
+        pinned snapshots and leased plan instances — then the engine
+        session itself."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            batch, self._batch = self._batch, None
+            if batch is not None:
+                batch.close()
+            portals, self.portals = self.portals, {}
+            for portal in portals.values():
+                portal.close()
+            self.statements.clear()
+            self.conn.close()
+
+    # -- the batch ------------------------------------------------------------
+
+    def run_batch(self, messages: Sequence[object]) -> tuple[bytes, bool]:
+        """Run pipelined *messages* in order; returns the first piece of
+        the response and whether it is also the last (if not, call
+        :meth:`next_piece`)."""
+        self._batch = self._run(messages)
+        return self.next_piece()
+
+    def next_piece(self) -> tuple[bytes, bool]:
+        """Resume the batch in progress up to its next piece."""
+        with self._lock:
+            if self._batch is None:        # closed under us (shutdown)
+                return b"", True
+            try:
+                return next(self._batch), False
+            except StopIteration as stop:
+                self._batch = None
+                return stop.value, True
+
+    def _run(self, messages: Sequence[object]
+             ) -> Generator[bytes, None, bytes]:
+        """The batch: yields each full piece, returns the last one."""
+        out = bytearray()
+        for message in messages:
+            if isinstance(message, protocol.Sync):
+                self.sync()
+                out += protocol.ReadyForQuery(
+                    self.transaction_status).encode()
+                continue
+            if self.skip_until_sync:
+                continue
+            simple = isinstance(message, protocol.Query)
+            try:
+                if simple:
+                    yield from self.run_simple(out, message.sql)
+                else:
+                    yield from self._run_extended(out, message)
+            except ReproError as exc:
+                self.note_error()
+                self.skip_until_sync = not simple
+                out += protocol.error_response(exc)
+            if simple:
+                out += protocol.ReadyForQuery(
+                    self.transaction_status).encode()
+        return bytes(out)
+
+    def _run_extended(self, out: bytearray, message: object) -> Pieces:
+        if isinstance(message, protocol.Execute):
+            yield from self.execute(out, message)
+        elif isinstance(message, protocol.Bind):
+            out += self.bind(message)
+        elif isinstance(message, protocol.Describe):
+            out += self.describe_statement(message.name) \
+                if message.kind == "S" else self.describe_portal(message.name)
+        elif isinstance(message, protocol.Parse):
+            out += self.parse(message)
+        elif isinstance(message, protocol.CloseMsg):
+            out += self.close_statement(message.name) \
+                if message.kind == "S" else self.close_portal(message.name)
+        elif not isinstance(message, protocol.Flush):
+            raise ProtocolError(
+                f"unexpected message {type(message).__name__}")
 
     # -- shared helpers -------------------------------------------------------
 
@@ -265,61 +356,67 @@ class BackendSession:
         self.failed_txn = False
         return "ROLLBACK"
 
+    def _send_rows(self, out: bytearray, result: Result, position: int,
+                   limit: int | None = None
+                   ) -> Generator[bytes, None, tuple[int, bool]]:
+        """Append the DataRow frames of *result* from row *position* on
+        (at most *limit* rows) to *out*, yielding a piece whenever it
+        reaches :data:`PIECE_BYTES`; returns the new position and
+        whether the result is exhausted."""
+        encode = protocol.encode_data_row
+        while limit is None or limit > 0:
+            want = STREAM_CHUNK if limit is None \
+                else min(STREAM_CHUNK, limit)
+            rows = result.fetch(want, position)
+            for row in rows:
+                out += encode(row)
+                if len(out) >= PIECE_BYTES:
+                    yield bytes(out)
+                    out.clear()
+            position += len(rows)
+            if len(rows) < want:
+                return position, True
+            if limit is not None:
+                limit -= want
+        return position, False
+
     # -- simple query ('Q') ---------------------------------------------------
 
-    def run_simple(self, sql: str) -> Iterator[bytes]:
+    def run_simple(self, out: bytearray, sql: str) -> Pieces:
         """Execute a simple-protocol query string (possibly several
-        ``;``-separated statements), yielding encoded response chunks.
+        ``;``-separated statements).
 
-        An error aborts the remainder of the string — the caller turns
-        the raised exception into an ErrorResponse, as PostgreSQL does.
+        An error aborts the remainder of the string — the batch loop
+        turns the raised exception into an ErrorResponse, as PostgreSQL
+        does.
         """
         if not sql.strip():
-            yield protocol.EmptyQueryResponse().encode()
+            out += protocol.EmptyQueryResponse().encode()
             return
-        statements = parse_statements(sql)
-        for statement in statements:
-            yield from self._run_statement(statement)
-
-    def _run_statement(self, statement: Statement) -> Iterator[bytes]:
-        self._check_failed(statement)
-        if isinstance(statement, (CommitStmt, RollbackStmt)):
-            tag = self._finish_txn_control(statement)
-            yield protocol.CommandComplete(tag).encode()
-            return
-        outcome = self.conn._run_statement(statement, ())
-        if isinstance(outcome, Result):
-            yield protocol.describe_schema(outcome.schema).encode()
-            yield from self._stream_rows(outcome, outcome.schema,
-                                         tag_stmt=statement)
-        else:
-            yield protocol.CommandComplete(
-                command_tag(statement, outcome)).encode()
-
-    def _stream_rows(self, result: Result, schema: Schema,
-                     tag_stmt: Statement) -> Iterator[bytes]:
-        """DataRow chunks followed by CommandComplete; the result is
-        closed however the generator exits, so an abandoned stream (a
-        dropped client) never leaks the engine-side tail."""
-        sent = 0
-        try:
-            chunk = bytearray()
-            for row in result:
-                chunk += protocol.DataRow(tuple(
-                    protocol.encode_text(value) for value in row)).encode()
-                sent += 1
-                if len(chunk) >= 1 << 16 or sent % STREAM_CHUNK == 0:
-                    yield bytes(chunk)
-                    chunk = bytearray()
-            chunk += protocol.CommandComplete(
-                command_tag(tag_stmt, sent)).encode()
-            yield bytes(chunk)
-        finally:
-            result.close()
+        for statement in parse_statements(sql):
+            self._check_failed(statement)
+            if isinstance(statement, (CommitStmt, RollbackStmt)):
+                tag = self._finish_txn_control(statement)
+                out += protocol.CommandComplete(tag).encode()
+                continue
+            outcome = self.conn._run_statement(statement, ())
+            if not isinstance(outcome, Result):
+                out += protocol.CommandComplete(
+                    command_tag(statement, outcome)).encode()
+                continue
+            # the result is closed however the batch exits, so an
+            # abandoned stream (a dropped client) never leaks its tail
+            try:
+                out += protocol.describe_schema(outcome.schema).encode()
+                sent, _ = yield from self._send_rows(out, outcome, 0)
+            finally:
+                outcome.close()
+            out += protocol.CommandComplete(
+                command_tag(statement, sent)).encode()
 
     # -- extended protocol ----------------------------------------------------
 
-    def parse(self, message: protocol.Parse) -> list[bytes]:
+    def parse(self, message: protocol.Parse) -> bytes:
         """Parse: plan the statement (eagerly, so errors surface here)
         and store it under its name."""
         translated, order = translate_placeholders(message.sql)
@@ -339,7 +436,7 @@ class BackendSession:
             raise ProtocolError(
                 f'prepared statement "{message.name}" already exists')
         self.statements[message.name] = entry
-        return [protocol.ParseComplete().encode()]
+        return protocol.ParseComplete().encode()
 
     def _statement_entry(self, name: str) -> PreparedEntry:
         entry = self.statements.get(name)
@@ -358,7 +455,7 @@ class BackendSession:
             raise exc
         return portal
 
-    def bind(self, message: protocol.Bind) -> list[bytes]:
+    def bind(self, message: protocol.Bind) -> bytes:
         entry = self._statement_entry(message.statement)
         if any(code == 1 for code in message.result_formats):
             raise ProtocolError("binary result format is not supported")
@@ -372,112 +469,80 @@ class BackendSession:
             raise ProtocolError(
                 f'portal "{message.portal}" already exists')
         self.portals[message.portal] = Portal(message.portal, entry, values)
-        return [protocol.BindComplete().encode()]
+        return protocol.BindComplete().encode()
 
-    def _entry_schema(self, entry: PreparedEntry) -> Schema | None:
-        """The result schema of a prepared SELECT, without executing
+    def _describe_rows(self, entry: PreparedEntry) -> bytes:
+        """RowDescription of a prepared SELECT, without executing
         (provenance columns included — they are ordinary columns of the
-        rewritten plan)."""
+        rewritten plan); NoData for anything else."""
         prepared = entry.prepared
         if prepared is None or not prepared.is_select:
-            return None
+            return protocol.NoData().encode()
         cached = self.conn._get_plan(
             entry.translated, None, statement=prepared._statement)
-        return cached.plan.schema
+        return protocol.describe_schema(cached.plan.schema).encode()
 
-    def describe_statement(self, name: str) -> list[bytes]:
+    def describe_statement(self, name: str) -> bytes:
         entry = self._statement_entry(name)
-        messages = [protocol.ParameterDescription(tuple(
+        return protocol.ParameterDescription(tuple(
             oid or protocol.OID_UNKNOWN
-            for oid in entry.param_oids)).encode()]
-        schema = self._entry_schema(entry)
-        if schema is None:
-            messages.append(protocol.NoData().encode())
-        else:
-            messages.append(protocol.describe_schema(schema).encode())
-        return messages
+            for oid in entry.param_oids)).encode() \
+            + self._describe_rows(entry)
 
-    def describe_portal(self, name: str) -> list[bytes]:
-        portal = self._portal(name)
-        schema = self._entry_schema(portal.entry)
-        if schema is None:
-            return [protocol.NoData().encode()]
-        return [protocol.describe_schema(schema).encode()]
+    def describe_portal(self, name: str) -> bytes:
+        return self._describe_rows(self._portal(name).entry)
 
-    def execute(self, message: protocol.Execute) -> Iterator[bytes]:
+    def execute(self, out: bytearray, message: protocol.Execute) -> Pieces:
         """Execute a portal, honouring ``max_rows`` with PortalSuspended
         so clients can stream a result across several Execute rounds."""
         portal = self._portal(message.portal)
         if portal.entry.prepared is None:         # empty statement: no-op
-            yield protocol.EmptyQueryResponse().encode()
+            out += protocol.EmptyQueryResponse().encode()
             return
         statement = portal.entry.prepared._statement
         self._check_failed(statement)
         if portal.completed:
-            yield protocol.CommandComplete(portal.tag or "SELECT 0").encode()
-            return
-        if isinstance(statement, (CommitStmt, RollbackStmt)):
+            pass
+        elif isinstance(statement, (CommitStmt, RollbackStmt)):
             portal.tag = self._finish_txn_control(statement)
             portal.completed = True
-            yield protocol.CommandComplete(portal.tag).encode()
-            return
-        if not isinstance(statement, SelectStmt):
+        elif not isinstance(statement, SelectStmt):
             outcome = portal.entry.prepared.execute(portal.values)
             portal.tag = command_tag(
                 statement, outcome if isinstance(outcome, int) else 0)
             portal.completed = True
-            yield protocol.CommandComplete(portal.tag).encode()
-            return
-        if portal.result is None:
-            portal.result = portal.entry.prepared.execute(portal.values)
-        yield from self._execute_select(portal, statement,
-                                        message.max_rows)
-
-    def _execute_select(self, portal: Portal, statement: SelectStmt,
-                        max_rows: int) -> Iterator[bytes]:
-        result = portal.result
-        remaining = max_rows if max_rows > 0 else None
-        sent_this_round = 0
-        while True:
-            want = STREAM_CHUNK if remaining is None \
-                else min(STREAM_CHUNK, remaining - sent_this_round)
-            if want == 0:
-                yield protocol.PortalSuspended().encode()
+        else:
+            if portal.result is None:
+                portal.result = portal.entry.prepared.execute(portal.values)
+            portal.position, portal.completed = yield from self._send_rows(
+                out, portal.result, portal.position, message.max_rows or None)
+            if not portal.completed:
+                out += protocol.PortalSuspended().encode()
                 return
-            rows = result.fetch(want, portal.position)
-            chunk = bytearray()
-            for row in rows:
-                chunk += protocol.DataRow(tuple(
-                    protocol.encode_text(value) for value in row)).encode()
-            portal.position += len(rows)
-            sent_this_round += len(rows)
-            if len(rows) < want:                      # exhausted
-                portal.completed = True
-                portal.tag = command_tag(statement, portal.position)
-                portal.close()
-                chunk += protocol.CommandComplete(portal.tag).encode()
-                yield bytes(chunk)
-                return
-            yield bytes(chunk)
+            portal.tag = command_tag(statement, portal.position)
+            portal.close()
+        out += protocol.CommandComplete(portal.tag or "SELECT 0").encode()
 
-    def close_statement(self, name: str) -> list[bytes]:
+    def close_statement(self, name: str) -> bytes:
         entry = self.statements.pop(name, None)
         if entry is not None:
             # portals bound to it stay valid in PostgreSQL; we keep the
             # same behaviour since each Portal holds its own reference
             if entry.prepared is not None:
                 entry.prepared.close()
-        return [protocol.CloseComplete().encode()]
+        return protocol.CloseComplete().encode()
 
-    def close_portal(self, name: str) -> list[bytes]:
+    def close_portal(self, name: str) -> bytes:
         portal = self.portals.pop(name, None)
         if portal is not None:
             portal.close()
-        return [protocol.CloseComplete().encode()]
+        return protocol.CloseComplete().encode()
 
     def sync(self) -> None:
-        """Sync closes the unnamed portal (Postgres ends the implicit
-        transaction here; the engine's autocommit already did)."""
+        """Sync ends error recovery and closes the unnamed portal
+        (Postgres ends the implicit transaction here; the engine's
+        autocommit already did)."""
+        self.skip_until_sync = False
         portal = self.portals.pop("", None)
         if portal is not None:
             portal.close()
@@ -489,6 +554,7 @@ def parse_single(sql: str) -> Statement:
 
 
 __all__ = [
-    "BackendSession", "Portal", "PreparedEntry", "STREAM_CHUNK",
+    "BackendSession", "PIECE_BYTES", "Portal", "PreparedEntry",
+    "STREAM_CHUNK",
     "command_tag", "parse_statements", "translate_placeholders",
 ]

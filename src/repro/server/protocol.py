@@ -23,12 +23,21 @@ in RowDescription / Parse maps onto :class:`~repro.datatypes.SQLType`;
 :func:`encode_text` / :func:`decode_text` are the two ends of the value
 codec, and :func:`sqlstate_for` / :func:`exception_for` translate the
 library's DB-API error hierarchy to and from SQLSTATE codes.
+
+Result rows are the one hot path, so they have a fused codec built on
+the same per-type / per-OID value rules: :func:`encode_data_row` turns a
+row of Python values into one DataRow frame without the intermediate
+message object, and :func:`compile_row_decoder` resolves a
+RowDescription's converters once and returns a ``payload -> tuple``
+function.  The server streams results through the first, the client
+receives them through the second.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 from ..datatypes import SQLType
 from ..errors import (
@@ -53,6 +62,11 @@ MAX_MESSAGE_LENGTH = 64 * 1024 * 1024
 
 _INT32 = struct.Struct(">i")
 _INT16 = struct.Struct(">h")
+#: tag byte + int32 length: the head of every post-startup frame
+_FRAME_HEAD = struct.Struct(">ci")
+#: tag + length + int16 column count: the head of a DataRow frame
+_DATA_ROW_HEAD = struct.Struct(">cih")
+_NULL_LENGTH = _INT32.pack(-1)
 
 # -- type OIDs ----------------------------------------------------------------
 
@@ -91,62 +105,100 @@ def oid_for_value(value) -> int:
     return OID_TEXT
 
 
-def encode_text(value) -> bytes | None:
+#: PostgreSQL's text spelling of the non-finite floats; Python's own
+#: (``inf`` / ``nan``) is rejected by other drivers.
+_NONFINITE = {"inf": b"Infinity", "-inf": b"-Infinity", "nan": b"NaN"}
+
+
+def _float_text(value: float) -> bytes:
+    text = repr(value)
+    return _NONFINITE.get(text) or text.encode("ascii")
+
+
+#: Exact value type -> text-format encoder: the one set of encoding
+#: rules, shared by :func:`encode_text` and :func:`encode_data_row`
+#: (``bool`` precedes ``int`` for the subclass fallback).
+_TEXT_ENCODERS: "dict[type, Callable[[Any], bytes]]" = {
+    bool: (b"f", b"t").__getitem__,
+    int: lambda value: b"%d" % value,
+    float: _float_text,
+    str: str.encode,
+    bytes: bytes,
+}
+
+
+def encode_text(value: object) -> "bytes | None":
     """A SQL value in the wire text format (None stays None = SQL NULL)."""
     if value is None:
         return None
-    if isinstance(value, bool):
-        return b"t" if value else b"f"
-    if isinstance(value, float):
-        return repr(value).encode("ascii")
-    if isinstance(value, bytes):
-        return value
-    return str(value).encode("utf-8")
+    encoder = _TEXT_ENCODERS.get(type(value))
+    if encoder is None:
+        for kind, encoder in _TEXT_ENCODERS.items():
+            if isinstance(value, kind):
+                break
+        else:
+            return str(value).encode("utf-8")
+    return encoder(value)
 
 
-def decode_text(data: bytes | None, oid: int):
-    """Decode a text-format value per its declared type OID.
+_BOOL_VALUES = {
+    **dict.fromkeys(("t", "true", "1", "on", "yes"), True),
+    **dict.fromkeys(("f", "false", "0", "off", "no"), False),
+}
+
+
+def _bool_value(data: bytes) -> bool:
+    try:
+        return _BOOL_VALUES[data.decode("utf-8").strip().lower()]
+    except KeyError:
+        # repro: allow(hygiene-raise) - the converter contract: malformed
+        # input is a ValueError, as from int() and float(); both callers
+        # turn it into ProtocolError
+        raise ValueError("invalid boolean literal") from None
+
+
+def _inferred_value(data: bytes) -> "int | float | str":
+    for convert in (int, float):
+        try:
+            return convert(data)
+        except ValueError:
+            pass
+    return data.decode("utf-8")
+
+
+def _converter_for(oid: int) -> "Callable[[bytes], Any]":
+    """The text-format converter of a type OID: the one set of decoding
+    rules, shared by :func:`decode_text` and :func:`compile_row_decoder`.
+    A converter takes the value's bytes and raises ``ValueError``
+    (``UnicodeDecodeError`` included) on a malformed one.
 
     OID 0 (unspecified, e.g. a parameter a driver sent without a type)
     and OID 705 (``unknown``, e.g. a computed column the engine typed as
-    ``ANY``) are inferred: integer, then float, then text.
+    ``ANY``) are inferred: integer, then float, then text.  Floats accept
+    both PostgreSQL's ``Infinity`` / ``NaN`` and Python's ``inf`` /
+    ``nan``.
     """
+    if oid in _INT_OIDS:
+        return int
+    if oid in _FLOAT_OIDS:
+        return float
+    if oid == OID_BOOL:
+        return _bool_value
+    if oid in (0, OID_UNKNOWN):
+        return _inferred_value
+    return bytes.decode
+
+
+def decode_text(data: "bytes | None", oid: int) -> Any:
+    """Decode a text-format value per its declared type OID (see
+    :func:`_converter_for`)."""
     if data is None:
         return None
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"invalid utf-8 in value: {exc}") from None
-    if oid in _INT_OIDS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ProtocolError(
-                f"invalid integer literal {text!r} for oid {oid}") from None
-    if oid in _FLOAT_OIDS:
-        try:
-            return float(text)
-        except ValueError:
-            raise ProtocolError(
-                f"invalid float literal {text!r} for oid {oid}") from None
-    if oid == OID_BOOL:
-        lowered = text.strip().lower()
-        if lowered in ("t", "true", "1", "on", "yes"):
-            return True
-        if lowered in ("f", "false", "0", "off", "no"):
-            return False
-        raise ProtocolError(f"invalid boolean literal {text!r}")
-    if oid in (0, OID_UNKNOWN):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            pass
-        return text
-    return text
+        return _converter_for(oid)(data)
+    except ValueError as exc:
+        raise ProtocolError(
+            f"invalid value {data!r} for oid {oid}: {exc}") from None
 
 
 # -- payload reader -----------------------------------------------------------
@@ -676,6 +728,13 @@ class NoticeResponse(ErrorResponse):
                     ("M", message)))
 
 
+def error_response(exc: BaseException, fatal: bool = False) -> bytes:
+    """The encoded ErrorResponse a library exception travels as."""
+    return ErrorResponse.make(
+        str(exc) or type(exc).__name__, sqlstate=sqlstate_for(exc),
+        severity="FATAL" if fatal else "ERROR").encode()
+
+
 def _parse_error_fields(cls, payload: bytes):
     reader = PayloadReader(payload)
     fields = []
@@ -789,49 +848,57 @@ class MessageStream:
     understands the tagless startup framing.  Both raise
     :class:`ProtocolError` on impossible lengths, so a garbage prefix
     fails fast instead of waiting for 2 GiB that will never come.
+
+    Frames are read at a cursor; the consumed prefix is dropped once per
+    ``feed()``, not once per frame.
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "_pos")
 
-    def __init__(self):
+    def __init__(self) -> None:
         self._buffer = bytearray()
+        self._pos = 0
 
     def feed(self, data: bytes) -> None:
+        if self._pos:
+            del self._buffer[:self._pos]
+            self._pos = 0
         self._buffer += data
 
     @property
     def pending(self) -> int:
         """Bytes buffered but not yet consumed."""
-        return len(self._buffer)
+        return len(self._buffer) - self._pos
 
     def _check_length(self, length: int) -> None:
         if length < 4 or length > MAX_MESSAGE_LENGTH:
             raise ProtocolError(f"impossible message length {length}")
 
-    def next_startup(self):
+    def next_startup(self) -> Any:
         """One startup-phase message, or None if incomplete."""
-        if len(self._buffer) < 4:
+        pos = self._pos
+        if len(self._buffer) - pos < 4:
             return None
-        length = _INT32.unpack(self._buffer[:4])[0]
+        length = _INT32.unpack_from(self._buffer, pos)[0]
         self._check_length(length)
-        if len(self._buffer) < length:
+        end = pos + length
+        if len(self._buffer) < end:
             return None
-        payload = bytes(self._buffer[4:length])
-        del self._buffer[:length]
-        return parse_startup(payload)
+        self._pos = end
+        return parse_startup(bytes(self._buffer[pos + 4:end]))
 
-    def next_message(self) -> tuple[bytes, bytes] | None:
+    def next_message(self) -> "tuple[bytes, bytes] | None":
         """One framed ``(tag, payload)``, or None if incomplete."""
-        if len(self._buffer) < 5:
+        buffer, pos = self._buffer, self._pos
+        if len(buffer) - pos < 5:
             return None
-        tag = bytes(self._buffer[:1])
-        length = _INT32.unpack(self._buffer[1:5])[0]
+        tag, length = _FRAME_HEAD.unpack_from(buffer, pos)
         self._check_length(length)
-        if len(self._buffer) < 1 + length:
+        end = pos + 1 + length
+        if len(buffer) < end:
             return None
-        payload = bytes(self._buffer[5:1 + length])
-        del self._buffer[:1 + length]
-        return tag, payload
+        self._pos = end
+        return tag, bytes(buffer[pos + 5:end])
 
 
 # -- schema <-> RowDescription ------------------------------------------------
@@ -852,6 +919,74 @@ def decode_row(row: DataRow, description: RowDescription) -> tuple:
             f"{len(description.fields)} described column(s)")
     return tuple(decode_text(value, f.type_oid)
                  for value, f in zip(row.values, description.fields))
+
+
+# -- the row fast path --------------------------------------------------------
+
+def encode_data_row(row: "Sequence[object]") -> bytes:
+    """One complete DataRow frame straight from a row of Python values:
+    byte-identical to ``DataRow(tuple(map(encode_text, row))).encode()``
+    without the message object or the payload writer."""
+    parts = [b""]
+    size = 6                        # the length field + the column count
+    for value in row:
+        if value is None:
+            parts.append(_NULL_LENGTH)
+            size += 4
+            continue
+        encoder = _TEXT_ENCODERS.get(type(value))
+        data = encoder(value) if encoder is not None else encode_text(value)
+        length = len(data)
+        parts.append(_INT32.pack(length))
+        parts.append(data)
+        size += 4 + length
+    parts[0] = _DATA_ROW_HEAD.pack(b"D", size, len(row))
+    return b"".join(parts)
+
+
+def compile_row_decoder(description: RowDescription
+                        ) -> "Callable[[bytes], tuple[Any, ...]]":
+    """A ``DataRow payload -> tuple of Python values`` function for one
+    result: the converters are resolved here, once, so decoding a row is
+    a single pass of ``unpack_from`` and converter calls.  It equals
+    ``decode_row(parse_backend(b"D", payload), description)``, malformed
+    payloads raising :class:`ProtocolError` alike."""
+    converters = tuple(_converter_for(f.type_oid) for f in description.fields)
+    length_at = _INT32.unpack_from
+
+    def decode(payload: bytes) -> "tuple[Any, ...]":
+        end = len(payload)
+        if end < 2 or _INT16.unpack_from(payload)[0] != len(converters):
+            raise ProtocolError(
+                f"DataRow does not carry the {len(converters)} described "
+                f"column(s)")
+        values = []
+        pos = 2
+        try:
+            for convert in converters:
+                length = length_at(payload, pos)[0]
+                pos += 4
+                if length == -1:
+                    values.append(None)
+                    continue
+                stop = pos + length
+                if length < 0 or stop > end:
+                    raise ProtocolError(
+                        f"truncated message: value of {length} byte(s) at "
+                        f"offset {pos} of {end}")
+                values.append(convert(payload[pos:stop]))
+                pos = stop
+        except struct.error:
+            raise ProtocolError(
+                f"truncated message: no value length at offset {pos} of "
+                f"{end}") from None
+        except ValueError as exc:
+            raise ProtocolError(f"invalid value in DataRow: {exc}") from None
+        if pos != end:
+            raise ProtocolError(f"{end - pos} trailing byte(s) in message")
+        return tuple(values)
+
+    return decode
 
 
 # -- SQLSTATE mapping ---------------------------------------------------------

@@ -2,11 +2,23 @@
 
 One :class:`Server` fronts one or more shared
 :class:`~repro.api.Engine` cores (one per served database).  The event
-loop owns all socket I/O; every engine call — parsing, planning,
-execution, streaming another chunk of a result — runs on a bounded
-worker thread pool (``ServerConfig.worker_threads``), so slow queries
-exert backpressure instead of spawning threads per client, and the
-asyncio loop never blocks on an engine lock.
+loop owns all socket I/O and frame parsing and never runs
+:class:`~repro.server.backend.BackendSession` code: engine work happens
+on a bounded worker thread pool (``ServerConfig.worker_threads``), so
+slow queries exert backpressure instead of spawning threads per client,
+and the asyncio loop never blocks on an engine lock.
+
+The unit handed to a worker is the **batch**: every frame already
+buffered up to and including the first Sync / Query / Flush — or the end
+of the buffer; the loop never waits for more input before answering what
+it has.  One worker call runs the batch's messages in order and returns
+response bytes, which leave in one ``write`` + ``drain``.  A response
+larger than :data:`~repro.server.backend.PIECE_BYTES` (64 KiB) comes
+back in pieces of at most that plus one row, one worker call and one
+``write`` + ``drain`` per piece, so a slow client throttles its own
+query instead of buffering it server-side.  A prepared point lookup
+(Bind/Describe/Execute/Sync) is therefore one pool submission and one
+socket write.
 
 Connection lifecycle:
 
@@ -16,19 +28,19 @@ Connection lifecycle:
   connections beyond ``max_connections`` with SQLSTATE 53300;
 * the command phase speaks both the simple protocol (``Q``) and the
   extended protocol (Parse/Bind/Describe/Execute/Close/Flush/Sync) with
-  named statements and portals; results stream in bounded chunks with
-  ``await drain()`` between them, so a slow client throttles its own
-  query instead of buffering it server-side;
+  named statements and portals, through the one batch path above;
 * errors map onto ErrorResponse via
   :func:`repro.server.protocol.sqlstate_for`; an extended-protocol error
-  skips messages until Sync, as PostgreSQL does;
+  skips messages until Sync, as PostgreSQL does — that flag lives in
+  :class:`BackendSession`, next to the failed-transaction state;
 * disconnect — graceful Terminate or a dropped socket — always runs
-  :meth:`BackendSession.close`, which closes open portals' streaming
-  results (releasing pinned snapshots and leased plan instances) before
-  closing the engine session.
+  :meth:`BackendSession.close`, which closes a batch abandoned between
+  pieces and open portals' streaming results (releasing pinned
+  snapshots and leased plan instances) before closing the engine
+  session.
 
 :meth:`Server.stop` is a graceful shutdown: stop accepting, let
-in-flight statements finish (up to ``shutdown_timeout``), notify
+in-flight batches finish (up to ``shutdown_timeout``), notify
 lingering clients with SQLSTATE 57P01, then close the engines the
 server opened itself.
 """
@@ -60,7 +72,9 @@ _SERVER_PARAMETERS = (
     ("standard_conforming_strings", "on"),
 )
 
-_DONE = object()
+#: Messages that end a batch: the client expects their answer before it
+#: sends more.
+_BATCH_END = (protocol.Sync, protocol.Query, protocol.Flush)
 
 
 class _Client:
@@ -225,12 +239,8 @@ class Server:
 
     async def _send_error(self, writer: asyncio.StreamWriter,
                           exc: BaseException, fatal: bool = False) -> None:
-        response = protocol.ErrorResponse.make(
-            str(exc) or type(exc).__name__,
-            sqlstate=protocol.sqlstate_for(exc),
-            severity="FATAL" if fatal else "ERROR")
         try:
-            writer.write(response.encode())
+            writer.write(protocol.error_response(exc, fatal))
             await writer.drain()
         except ConnectionError:
             pass
@@ -322,113 +332,49 @@ class Server:
         if backend is None:
             return
         client.backend = backend
-        skip_until_sync = False
         while True:
-            framed = stream.next_message()
-            if framed is None:
-                if self._closing:
-                    return
-                if not await self._feed(reader, stream):
-                    return                     # client vanished
-                continue
-            tag, payload = framed
-            message = protocol.parse_frontend(tag, payload)
-            if isinstance(message, protocol.Terminate):
+            batch = []
+            terminated = False
+            while (framed := stream.next_message()) is not None:
+                message = protocol.parse_frontend(*framed)
+                if isinstance(message, protocol.Terminate):
+                    terminated = True
+                    break
+                batch.append(message)
+                if isinstance(message, _BATCH_END):
+                    break
+            if batch:
+                await self._answer(backend, writer, batch)
+            if terminated:
                 return
-            # in-flight accounting covers the whole response cycle
-            # (through ReadyForQuery for Q/Sync), so graceful shutdown
-            # never cuts a half-written response
-            self._in_flight += 1
-            try:
-                if isinstance(message, protocol.Query):
-                    await self._run_simple(backend, writer, message.sql)
-                    continue
-                if isinstance(message, protocol.Sync):
-                    await self._run_engine(backend.sync)
-                    skip_until_sync = False
-                    writer.write(protocol.ReadyForQuery(
-                        backend.transaction_status).encode())
-                    await writer.drain()
-                    continue
-                if isinstance(message, protocol.Flush):
-                    await writer.drain()
-                    continue
-                if skip_until_sync:
-                    continue
-                skip_until_sync = not await self._run_extended(
-                    backend, writer, message)
-            finally:
-                self._in_flight -= 1
+            if not batch and (self._closing
+                              or not await self._feed(reader, stream)):
+                return                         # shutting down, or EOF
 
-    # -- command execution ----------------------------------------------------
-
-    async def _run_engine(self, fn, *args):
-        """Run one engine-touching call on the worker pool."""
+    async def _answer(self, backend: BackendSession, writer,
+                      batch: list) -> None:
+        """Run one batch on the worker pool and write its response: one
+        worker call and one ``write`` + ``drain`` per piece.  An abort
+        (reset socket, shutdown) leaves the batch to
+        :meth:`BackendSession.close`."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, lambda: fn(*args))
-
-    async def _stream(self, generator, writer) -> None:
-        """Drain a backend response generator chunk by chunk, writing
-        with backpressure; whatever happens, the generator is closed so
-        an abandoned engine-side result never leaks."""
+        # in-flight accounting covers the whole response (through
+        # ReadyForQuery for Q/Sync), so graceful shutdown never cuts a
+        # half-written one
+        self._in_flight += 1
         try:
+            piece, last = await loop.run_in_executor(
+                self._pool, backend.run_batch, batch)
             while True:
-                chunk = await self._run_engine(next, generator, _DONE)
-                if chunk is _DONE:
+                if piece:
+                    writer.write(piece)
+                    await writer.drain()
+                if last:
                     return
-                writer.write(chunk)
-                await writer.drain()
+                piece, last = await loop.run_in_executor(
+                    self._pool, backend.next_piece)
         finally:
-            await self._run_engine(generator.close)
-
-    async def _run_simple(self, backend, writer, sql: str) -> None:
-        try:
-            await self._stream(backend.run_simple(sql), writer)
-        except ReproError as exc:
-            backend.note_error()
-            await self._send_error(writer, exc)
-        writer.write(protocol.ReadyForQuery(
-            backend.transaction_status).encode())
-        await writer.drain()
-
-    async def _run_extended(self, backend, writer, message) -> bool:
-        """Dispatch one extended-protocol message; False puts the
-        connection into skip-until-Sync error recovery."""
-        try:
-            if isinstance(message, protocol.Parse):
-                responses = await self._run_engine(backend.parse, message)
-            elif isinstance(message, protocol.Bind):
-                responses = await self._run_engine(backend.bind, message)
-            elif isinstance(message, protocol.Describe):
-                if message.kind == "S":
-                    responses = await self._run_engine(
-                        backend.describe_statement, message.name)
-                else:
-                    responses = await self._run_engine(
-                        backend.describe_portal, message.name)
-            elif isinstance(message, protocol.Execute):
-                await self._stream(backend.execute(message), writer)
-                return True
-            elif isinstance(message, protocol.CloseMsg):
-                if message.kind == "S":
-                    responses = await self._run_engine(
-                        backend.close_statement, message.name)
-                else:
-                    responses = await self._run_engine(
-                        backend.close_portal, message.name)
-            elif isinstance(message, protocol.Password):
-                raise ProtocolError("unexpected password message")
-            else:                              # pragma: no cover - exhaustive
-                raise ProtocolError(
-                    f"unexpected message {type(message).__name__}")
-        except ReproError as exc:
-            backend.note_error()
-            await self._send_error(writer, exc)
-            return False
-        for response in responses:
-            writer.write(response)
-        await writer.drain()
-        return True
+            self._in_flight -= 1
 
 
 async def serve(config: ServerConfig | None = None,

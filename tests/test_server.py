@@ -33,7 +33,9 @@ from repro.errors import (
     InterfaceError, ProtocolError, ReproError, TransactionError,
 )
 from repro.server import Server, ServerConfig
-from repro.server.backend import command_tag, translate_placeholders
+from repro.server.backend import (
+    PIECE_BYTES, command_tag, translate_placeholders,
+)
 from repro.server import protocol
 
 
@@ -45,6 +47,15 @@ def serving(scenario, config: ServerConfig | None = None,
                           engines) as server:
             return await scenario(server)
     return asyncio.run(runner())
+
+
+async def replies(conn) -> list:
+    """Every backend message up to and including ReadyForQuery."""
+    messages = []
+    while not isinstance(message := await conn._recv(),
+                         protocol.ReadyForQuery):
+        messages.append(message)
+    return messages + [message]
 
 
 async def wait_for(predicate, timeout: float = 5.0) -> bool:
@@ -273,6 +284,157 @@ class TestExtendedProtocol:
             await conn._send(protocol.Execute("lost", 0), protocol.Sync())
             with pytest.raises(ReproError, match="lost"):
                 await conn._drain_until_ready()
+            await conn.close()
+        serving(scenario)
+
+
+    def test_simple_query_discarded_until_sync(self):
+        """After an extended-protocol error everything but Sync is
+        discarded (PostgreSQL's ignore_till_sync) — a simple Query
+        included: it is neither run nor answered."""
+        async def scenario(server):
+            conn = await connect("127.0.0.1", server.port)
+            await conn.query("CREATE TABLE t (a int)")
+            await conn._send(
+                protocol.Parse("", "SELECT * FROM nothing_here"),
+                protocol.Query("INSERT INTO t VALUES (1)"),
+                protocol.Bind("", ""),
+                protocol.Sync())
+            assert [type(m) for m in await replies(conn)] == [
+                protocol.ErrorResponse, protocol.ReadyForQuery]
+            assert (await conn.query("SELECT count(*) FROM t")
+                    )[0].rows == [(0,)]
+            await conn.close()
+        serving(scenario)
+
+
+# -- the batching contract ----------------------------------------------------
+
+class _Tap:
+    """Counts worker-pool submissions and records the size of every
+    socket write of the one connected client."""
+
+    def __init__(self, server):
+        self.submissions = 0
+        self.writes: list[int] = []
+        submit = server._pool.submit
+        (client,) = server._clients
+        transport_write = client.writer.transport.write
+
+        def counted_submit(*args, **kwargs):
+            self.submissions += 1
+            return submit(*args, **kwargs)
+
+        def recorded_write(data):
+            self.writes.append(len(data))
+            return transport_write(data)
+
+        server._pool.submit = counted_submit
+        client.writer.transport.write = recorded_write
+
+
+def big_engine(rows: int = 5000) -> Engine:
+    """The table of ``test_abort_mid_unbounded_stream``: ~200 B rows."""
+    engine = Engine()
+    with engine.connect() as setup:
+        setup.execute("CREATE TABLE big (k int, pad text)")
+        insert = setup.prepare("INSERT INTO big VALUES (?, ?)")
+        with setup.transaction():
+            for i in range(rows):
+                insert.execute((i, "x" * 200))
+    return engine
+
+
+class TestBatching:
+    def test_prepared_point_execute_is_one_hop_one_write(self):
+        engine = big_engine(50)
+
+        async def scenario(server):
+            conn = await connect("127.0.0.1", server.port)
+            stmt = await conn.prepare("SELECT pad FROM big WHERE k = $1")
+            tap = _Tap(server)
+            # Bind / Describe / Execute / Sync, pipelined in one packet
+            assert (await stmt.execute((7,))).rows == [("x" * 200,)]
+            assert tap.submissions == 1
+            assert len(tap.writes) == 1
+            await conn.close()
+
+        serving(scenario, engines={"repro": engine})
+        engine.close()
+
+    def test_pipelined_pairs_answer_in_order_and_skip_after_error(self):
+        async def scenario(server):
+            conn = await connect("127.0.0.1", server.port)
+            await conn.query("CREATE TABLE t (a int)")
+            await conn._send(
+                protocol.Parse("ins", "INSERT INTO t VALUES ($1)"),
+                protocol.Parse("sel", "SELECT a FROM t WHERE a = $1"),
+                protocol.Sync())
+            await replies(conn)
+            tap = _Tap(server)
+            pairs = []
+            for i in range(6):
+                pairs += [protocol.Bind("", "ins", (), (b"%d" % i,)),
+                          protocol.Execute("", 0)]
+            # pair 3 names a missing statement: pairs 4 and 5 are skipped
+            pairs[6] = protocol.Bind("", "ghost")
+            await conn._send(*pairs, protocol.Sync())
+            answer = await replies(conn)
+            assert [type(m) for m in answer] == \
+                [protocol.BindComplete, protocol.CommandComplete] * 3 + \
+                [protocol.ErrorResponse, protocol.ReadyForQuery]
+            assert "ghost" in answer[6].message
+            assert tap.submissions == 1 and len(tap.writes) == 1
+            # only pairs 0..2 ran
+            await conn._send(
+                *(m for i in range(6) for m in (
+                    protocol.Bind("", "sel", (), (b"%d" % i,)),
+                    protocol.Execute("", 0))),
+                protocol.Sync())
+            answer = await replies(conn)
+            assert [m.values for m in answer
+                    if isinstance(m, protocol.DataRow)] == \
+                [(b"0",), (b"1",), (b"2",)]
+            assert sum(isinstance(m, protocol.ReadyForQuery)
+                       for m in answer) == 1
+            await conn.close()
+        serving(scenario)
+
+    def test_large_result_leaves_in_bounded_pieces(self):
+        engine = big_engine()
+
+        async def scenario(server):
+            conn = await connect("127.0.0.1", server.port)
+            tap = _Tap(server)
+            result = (await conn.query("SELECT k, pad FROM big"))[0]
+            assert len(result.rows) == 5000
+            row_bytes = len(protocol.encode_data_row((4999, "x" * 200)))
+            assert len(tap.writes) > 5000 * row_bytes // PIECE_BYTES
+            assert max(tap.writes) < PIECE_BYTES + row_bytes
+            # one worker call per piece, no probe or close hop
+            assert tap.submissions == len(tap.writes)
+            await conn.close()
+
+        serving(scenario, engines={"repro": engine})
+        engine.close()
+
+    def test_unterminated_batch_is_answered_at_once(self):
+        """The server never waits for a Sync or Flush before answering
+        what it has buffered."""
+        async def scenario(server):
+            conn = await connect("127.0.0.1", server.port)
+            await conn._send(protocol.Parse("", "SELECT 1"))
+            assert isinstance(
+                await asyncio.wait_for(conn._recv(), 5),
+                protocol.ParseComplete)
+            await conn._send(protocol.Bind("", ""))
+            assert isinstance(
+                await asyncio.wait_for(conn._recv(), 5),
+                protocol.BindComplete)
+            await conn._send(protocol.Execute("", 0), protocol.Sync())
+            assert [type(m) for m in await replies(conn)] == [
+                protocol.DataRow, protocol.CommandComplete,
+                protocol.ReadyForQuery]
             await conn.close()
         serving(scenario)
 

@@ -14,9 +14,16 @@ Mirrors ``test_storage_codec.py`` for the network layer:
 4. Framing: a packet carrying many messages, split across arbitrary
    TCP-read boundaries, reassembles into exactly the original message
    sequence; impossible frame lengths fail fast.
+5. The row fast path: the fused DataRow encoder is byte-identical to the
+   message-class encoder, the compiled row decoder equals the
+   message-class decoder, and malformed DataRow payloads raise
+   :class:`~repro.errors.ProtocolError` from it as from the classes.
 """
 
 from __future__ import annotations
+
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +246,103 @@ class TestGarbage:
                 protocol.decode_text(data, oid)
             except ProtocolError:
                 pass
+
+
+# -- the row fast path --------------------------------------------------------
+
+#: one (value, column OID) pair per column: NULLs, bools, big integers,
+#: every float class, empty and non-BMP strings
+_TYPED_VALUE = st.one_of(
+    st.tuples(st.none(), st.sampled_from(
+        (protocol.OID_INT8, protocol.OID_TEXT, protocol.OID_UNKNOWN))),
+    st.tuples(st.booleans(), st.just(protocol.OID_BOOL)),
+    st.tuples(st.integers(-2 ** 70, 2 ** 70), st.just(protocol.OID_INT8)),
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from((-0.0, math.inf, -math.inf, math.nan)),
+              st.just(protocol.OID_FLOAT8)),
+    st.tuples(st.text(st.characters(blacklist_categories=("Cs",)),
+                      max_size=12) | st.sampled_from(("", "\U0001f600")),
+              st.just(protocol.OID_TEXT)),
+)
+_TYPED_ROW = st.lists(_TYPED_VALUE, max_size=6)
+
+
+def _describe(oids) -> protocol.RowDescription:
+    return protocol.RowDescription(tuple(
+        protocol.FieldDescription(f"c{i}", oid)
+        for i, oid in enumerate(oids)))
+
+
+def _same(left, right) -> bool:
+    """Row equality telling -0.0 from 0.0 and NaN equal to itself."""
+    return repr(left) == repr(right)
+
+
+class TestRowFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(_TYPED_ROW)
+    def test_equivalent_to_the_message_classes(self, typed):
+        row = tuple(value for value, _ in typed)
+        description = _describe(oid for _, oid in typed)
+        frame = protocol.encode_data_row(row)
+        assert frame == protocol.DataRow(tuple(
+            protocol.encode_text(v) for v in row)).encode()
+        tag, payload = _split_frame(frame)
+        decoded = protocol.compile_row_decoder(description)(payload)
+        assert _same(decoded, protocol.decode_row(
+            protocol.parse_backend(tag, payload), description))
+        assert _same(decoded, row)
+
+    @pytest.mark.parametrize("value,text", [
+        (math.inf, b"Infinity"), (-math.inf, b"-Infinity"),
+        (math.nan, b"NaN"), (-0.0, b"-0.0"), (1e300, b"1e+300")])
+    def test_floats_travel_in_postgres_spelling(self, value, text):
+        assert protocol.encode_text(value) == text
+        assert protocol.encode_data_row((value,)).endswith(text)
+        assert _same(protocol.decode_text(text, protocol.OID_FLOAT8), value)
+
+    @pytest.mark.parametrize("text", [b"inf", b"-inf", b"nan", b"Infinity",
+                                      b"-Infinity", b"NaN", b"infinity"])
+    def test_either_float_spelling_decodes(self, text):
+        for oid in (protocol.OID_FLOAT8, protocol.OID_UNKNOWN):
+            assert not math.isfinite(protocol.decode_text(text, oid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_TYPED_ROW.filter(bool))
+    def test_prefixes_raise(self, typed):
+        decode = protocol.compile_row_decoder(
+            _describe(oid for _, oid in typed))
+        _, payload = _split_frame(protocol.encode_data_row(
+            tuple(value for value, _ in typed)))
+        for cut in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                decode(payload[:cut])
+        with pytest.raises(ProtocolError, match="trailing"):
+            decode(payload + b"x")
+
+    def test_malformed_rows_raise_protocol_error(self):
+        decode = protocol.compile_row_decoder(
+            _describe((protocol.OID_INT8, protocol.OID_TEXT)))
+        _, good = _split_frame(protocol.encode_data_row((1, "a")))
+        assert decode(good) == (1, "a")
+        malformed = {
+            "wrong column count": _split_frame(
+                protocol.encode_data_row((1, "a", 2)))[1],
+            "oversized length": good[:2] + struct.pack(">i", 2 ** 31 - 1)
+            + good[6:],
+            "negative length": good[:2] + struct.pack(">i", -2) + good[6:],
+            "invalid utf-8": _split_frame(protocol.DataRow(
+                (b"1", b"\xff\xfe")).encode())[1],
+            "invalid integer": _split_frame(protocol.DataRow(
+                (b"one", b"a")).encode())[1],
+        }
+        for payload in malformed.values():
+            with pytest.raises(ProtocolError):
+                decode(payload)
+            with pytest.raises(ProtocolError):
+                protocol.decode_row(
+                    protocol.parse_backend(b"D", payload),
+                    _describe((protocol.OID_INT8, protocol.OID_TEXT)))
 
 
 # -- framing ------------------------------------------------------------------
