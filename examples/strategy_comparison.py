@@ -59,10 +59,9 @@ def main() -> None:
                         help="size of both synthetic relations")
     args = parser.parse_args()
 
-    # load_synthetic returns the legacy facade; compare through its
-    # session object (the uncached path — we are timing the rewrites).
+    # provenance() is the uncached one-shot path — every call re-plans,
+    # so the timings below include the rewrites we are comparing.
     db = load_synthetic(SyntheticConfig(args.size, args.size, seed=0))
-    db = db.connection
     print(f"synthetic tables r1, r2 with {args.size} rows each\n")
 
     compare(db, "q1: equality ANY (all four strategies apply)",

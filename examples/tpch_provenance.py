@@ -52,7 +52,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"generating TPC-H at scale {args.scale} ...")
-    db = load_tpch(scale=args.scale, seed=0).connection
+    db = load_tpch(scale=args.scale, seed=0)
     install_views(db)
     for table in db.catalog.names():
         print(f"  {table:10s} {len(db.catalog.get(table).rows):7d} rows")

@@ -47,9 +47,7 @@ see :mod:`repro.server`.
 Prepared statements and cursors share the engine's LRU plan cache keyed
 by ``(sql, strategy, session knobs, catalog version, stats version)``;
 rewrite strategies — the built-in four included — resolve through the
-pluggable registry in :mod:`repro.provenance.strategies`.  The legacy
-:class:`Database` facade remains available and delegates to the same
-machinery.
+pluggable registry in :mod:`repro.provenance.strategies`.
 """
 
 from .api import (
@@ -59,7 +57,6 @@ from .api import (
 )
 from .catalog import Catalog
 from .datatypes import NULL, SQLType
-from .db import Database
 from .engine import ExecutionStats, Executor
 from .errors import (
     AnalyzerError,
@@ -107,7 +104,7 @@ paramstyle = "qmark"
 
 __all__ = [
     "Attribute", "CachedPlan", "Catalog", "Connection", "Contribution",
-    "Cursor", "Database", "Engine", "ExecutionStats", "Executor", "NULL",
+    "Cursor", "Engine", "ExecutionStats", "Executor", "NULL",
     "PlanCache", "PreparedStatement", "ProvenanceRewriter", "Relation",
     "Result", "RewriteResult", "SQLType", "Schema", "SessionConfig",
     "Transaction", "Witness", "connect",

@@ -16,7 +16,8 @@ encode+parse+test coverage (PR 6), vector kernels must stay pure
   reachability engine answering "can any entry point reach X without
   passing through Y?";
 * :mod:`repro.analysis.rules` — the rule registry and the project
-  checkers (lock-discipline, exhaustiveness, purity, hygiene, typing);
+  checkers (lock-discipline, exhaustiveness, purity, hygiene, typing,
+  config-knobs);
 * :mod:`repro.analysis.baseline` — a committed, triaged baseline so CI
   fails on *new* violations only;
 * ``python -m repro.analysis [--json] [--baseline FILE]`` — the CLI.

@@ -1,9 +1,10 @@
 """The rule registry and the violation record.
 
 A *rule family* (``lock-discipline``, ``exhaustiveness``, ``purity``,
-``hygiene``, ``typing``) is one registered checker function; each
-family emits violations under specific ids (``hygiene-pickle``,
-``exhaustiveness-wal``, ...) so pragmas and baselines can be precise.
+``hygiene``, ``typing``, ``config-knobs``) is one registered checker
+function; each family emits violations under specific ids
+(``hygiene-pickle``, ``exhaustiveness-wal``, ...) so pragmas and
+baselines can be precise.
 An inline ``# repro: allow(<id-or-prefix>)`` on the offending line, in
 the comment block directly above it, or on (or above) the enclosing
 ``def``/``class`` line suppresses a finding; ``allow(hygiene)``
@@ -173,4 +174,6 @@ def run_rules(project: Project, graph: CallGraph,
 
 
 def _load_builtin_rules() -> None:
-    from . import exhaustiveness, hygiene, locks, purity, typing_gate  # noqa: F401
+    from . import (  # noqa: F401
+        exhaustiveness, hygiene, knobs, locks, purity, typing_gate,
+    )

@@ -41,8 +41,6 @@ class SessionConfig:
     ``optimize``
         Run the logical optimizer pass (selection pushdown / join
         extraction) when planning.  The ablation benchmark disables it.
-    ``compile_expressions``
-        Compile expressions to closures instead of tree-walking them.
     ``collect_stats``
         Keep per-operator evaluation counters in
         :class:`~repro.engine.ExecutionStats` (the cheap scalar counters
@@ -51,18 +49,15 @@ class SessionConfig:
         Capacity of the per-connection LRU plan cache; ``0`` disables
         caching entirely.
     ``engine``
-        Which execution engine runs statements: ``"pipelined"`` (the
-        row-batch pipeline over physical plans — the default),
-        ``"vectorized"`` (the pipelined engine with columnar
-        ``ColumnBatch`` data flow and whole-column expression kernels;
-        nodes the vector compiler cannot handle fall back to row
-        operators per node, so it is always correct) or
-        ``"materializing"`` (the original tree-walking interpreter, kept
-        as the benchmark baseline and parity reference).
+        Which batch format the executor moves through physical plans:
+        ``"pipelined"`` (lists of row tuples — the default) or
+        ``"vectorized"`` (columnar ``ColumnBatch`` data flow and
+        whole-column expression kernels; nodes the vector compiler
+        cannot handle fall back to row operators per node, so it is
+        always correct).
     ``batch_size``
-        Rows per batch in the pipelined and vectorized engines.  Larger
-        batches amortize per-batch overhead; smaller ones bound memory
-        between pipeline breakers.  Ignored by the materializing engine.
+        Rows per batch.  Larger batches amortize per-batch overhead;
+        smaller ones bound memory between pipeline breakers.
     ``use_indexes``
         Let the cost-based lowering plan ``IndexScan`` /
         ``IndexNestedLoopJoin`` over secondary indexes.  Disabling it
@@ -131,7 +126,6 @@ class SessionConfig:
 
     default_strategy: str = "auto"
     optimize: bool = True
-    compile_expressions: bool = True
     collect_stats: bool = True
     plan_cache_size: int = 128
     engine: str = "pipelined"

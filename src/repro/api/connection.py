@@ -14,15 +14,19 @@ A :class:`Connection` is the public entry point of the library::
 
 ``connect()`` mints a private engine; ``Engine().connect()`` mints
 sessions sharing one catalog, plan cache and lock across threads.  Three
-execution surfaces share them:
+execution surfaces share them — and one SELECT path: each plans with
+:meth:`Connection._plan` and executes with
+:meth:`Connection._execute_plan`; they differ only in plan caching and
+in whether the result arrives streaming or drained:
 
 * :meth:`cursor` / :meth:`execute` — DB-API-flavored, plan-cached,
   returning streaming :class:`~repro.api.result.Result` objects.
 * :meth:`prepare` — parse/plan once, re-execute with new bindings.
-* :meth:`sql` / :meth:`provenance` / :meth:`plan` / :meth:`explain` —
-  one-shot helpers that deliberately bypass the plan cache and execute
-  eagerly (they back the legacy :class:`repro.db.Database` facade and
-  the benchmarks, which must measure un-cached, fully-drained runs).
+* :meth:`sql` / :meth:`provenance` / :meth:`execute_script` — one-shot
+  helpers that deliberately bypass the plan cache (every call re-plans;
+  the cache and its counters are untouched) and return fully drained
+  results — the un-cached complete runs the figure benchmarks time.
+  :meth:`plan` / :meth:`explain` show the plan.
 
 Transactions are real: ``BEGIN`` / ``COMMIT`` / ``ROLLBACK`` (or
 :meth:`begin` / :meth:`commit` / :meth:`rollback` /
@@ -45,8 +49,7 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, \
-    Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..catalog import Catalog
 from ..datatypes import SQLType
@@ -55,6 +58,7 @@ from ..errors import (
     SerializationError,
 )
 from ..engine import ExecutionStats, Executor
+from ..engine.physical import PhysicalPlan, explain_physical
 from ..expressions.ast import Expr
 from ..expressions.evaluator import EvalContext, Frame, evaluate
 from ..algebra.operators import Operator
@@ -62,7 +66,6 @@ from ..algebra.printer import explain as explain_plan
 from ..provenance import ProvenanceRewriter
 from ..provenance.naming import BaseAccess
 from ..provenance.strategies import AUTO
-from ..relation import Relation
 from ..schema import Attribute, Schema
 from ..sql.analyzer import Analyzer
 from ..sql.ast import (
@@ -83,9 +86,6 @@ from .transaction import Transaction
 #: conflicts.  Each retry means a concurrent commit made progress, so
 #: this is a livelock tripwire, not a latency budget.
 _AUTOCOMMIT_RETRIES = 1000
-
-if TYPE_CHECKING:
-    from ..engine.physical import PhysicalPlan
 
 
 class Connection:
@@ -295,49 +295,37 @@ class Connection:
         """Execute a ``;``-separated script, discarding SELECT outputs."""
         self._check_open()
         for statement in parse_statements(text):
-            if isinstance(statement, SelectStmt):
-                self._run_select_uncached(statement)
-            else:
-                self._run_statement(statement, ())
+            self._run_statement(statement, ())
 
-    # -- one-shot helpers (uncached; the legacy Database substrate) -----------
+    # -- one-shot helpers (uncached) ------------------------------------------
 
     def sql(self, text: str, strategy: str | None = None,
             params: Sequence[Any] = ()) -> Result:
-        """Run a SELECT (optionally ``SELECT PROVENANCE``) without
-        caching, fully drained (the benchmarks time this path).
+        """Run a SELECT (optionally ``SELECT PROVENANCE``) without the
+        plan cache — planned afresh on every call — and return the
+        fully drained result.
 
         *strategy* overrides the strategy named in the SQL text.
         """
         self._check_open()
-        statement = parse_statement(text)
-        if not isinstance(statement, SelectStmt):
-            raise AnalyzerError("sql() expects a SELECT statement")
-        return self._run_select_uncached(statement, strategy, params)
+        return self._run_select(_parse_select(text, "sql()"), strategy,
+                                params)
 
     def provenance(self, text: str, strategy: str = AUTO,
                    params: Sequence[Any] = ()) -> Result:
-        """Compute the provenance of a plain SELECT query."""
+        """Compute the provenance of a plain SELECT query (uncached and
+        drained, like :meth:`sql`)."""
         self._check_open()
-        statement = parse_statement(text)
-        if not isinstance(statement, SelectStmt):
-            raise AnalyzerError("provenance() expects a SELECT statement")
-        strategy = strategy or AUTO
-        if strategy == AUTO and self.config.default_strategy != AUTO:
-            strategy = self.config.default_strategy
-        catalog = self._read_catalog()
-        plan, accesses = self._build_plan_full(statement, strategy, catalog)
-        return self._execute_uncached(plan, statement.param_count, params,
-                                      catalog, strategy, accesses)
+        return self._run_select(_parse_select(text, "provenance()"),
+                                strategy or AUTO, params)
 
     def plan(self, text: str, strategy: str | None = None) -> Operator:
-        """The algebra plan a query would execute (after any rewrite)."""
+        """The algebra plan a query would execute (after any rewrite,
+        before the optimizer)."""
         self._check_open()
-        statement = parse_statement(text)
-        if not isinstance(statement, SelectStmt):
-            raise AnalyzerError("plan() expects a SELECT statement")
-        return self._build_plan(
-            statement, self._effective_strategy(statement, strategy))
+        return self._logical_plan(
+            _parse_select(text, "plan()"), strategy, self._read_catalog(),
+            optimized=False)[0]
 
     def explain(self, text: str, strategy: str | None = None) -> str:
         """EXPLAIN-style rendering of the logical (rewritten) plan."""
@@ -346,26 +334,27 @@ class Connection:
     def explain_physical(self, text: str,
                          strategy: str | None = None) -> str:
         """EXPLAIN-style rendering of the *physical* plan: the lowered
-        operator tree the pipelined engine executes, with join algorithms
-        and InitPlan/SubPlan sublink classification visible."""
-        from ..engine.physical import explain_physical as render
-        catalog = self._read_catalog()
-        plan = self._optimize_plan(self.plan(text, strategy), catalog)
-        lowered = self._lower(plan, catalog)
+        operator tree the executor runs, with join algorithms and
+        InitPlan/SubPlan sublink classification visible."""
+        self._check_open()
+        lowered = self._plan(_parse_select(text, "explain_physical()"),
+                             strategy, self._read_catalog()).physical
         if self.config.engine == "vectorized":
             # show the plan as the vectorized engine would run it, with
             # per-node [columnar]/[rows] batch-format tags
             from ..engine.vectorized import vectorize_plan
             vectorize_plan(lowered)
-        return render(lowered)
+        return explain_physical(lowered)
 
     def estimate_rows(self, text: str, strategy: str | None = None) -> float:
         """The cost model's cardinality estimate for a SELECT — the row
         count ``EXPLAIN`` would show on the plan root, without executing
         anything."""
         from ..engine.cost import CardinalityEstimator
+        self._check_open()
         catalog = self._read_catalog()
-        plan = self._optimize_plan(self.plan(text, strategy), catalog)
+        plan = self._logical_plan(
+            _parse_select(text, "estimate_rows()"), strategy, catalog)[0]
         return CardinalityEstimator(catalog).estimate(plan)
 
     def explain_analyze(self, text: str, params: Sequence[Any] = (),
@@ -374,34 +363,31 @@ class Connection:
         per-node actual rows / batches / loops / inclusive time.
 
         Runs through the plan cache (so the analyzed plan is the one a
-        normal execution would use) on the session's engine (the
-        pipelined engine when the session is materializing) with stats
-        collection forced on.  Under ``engine="vectorized"`` every node
-        is tagged with its batch format and a summary line counts
-        vector-kernel vs row-fallback nodes.
+        normal execution would use) with stats collection forced on.
+        Under ``engine="vectorized"`` every node is tagged with its
+        batch format and a summary line counts vector-kernel vs
+        row-fallback nodes.
         """
         self._check_open()
-        from ..engine.physical import explain_physical as render
-        engine = "vectorized" if self.config.engine == "vectorized" \
-            else "pipelined"
         catalog = self._read_catalog()
-        cached = self._get_plan(text, strategy, catalog=catalog)
+        cached = self._get_plan(
+            text, strategy, _parse_select(text, "explain_analyze()"),
+            catalog)
         instance = cached.acquire_physical(
             lambda: self._lower(cached.plan, catalog))
         try:
             executor = Executor(
                 catalog, optimize=False,
-                config=self.config.with_options(
-                    engine=engine, collect_stats=True))
+                config=self.config.with_options(collect_stats=True))
             relation = executor.execute_physical(
                 instance, check_arity(cached.param_count, params))
             stats = self._finish_stats(executor)
             root = stats.node_stats.get(id(instance.root))
-            lines = [render(instance, stats=stats)]
+            lines = [explain_physical(instance, stats=stats)]
             lines.append(f"Result: {len(relation.rows)} row(s), "
                          f"{root.batches if root else 0} batch(es), "
                          f"batch size {self.config.batch_size}")
-            if engine == "vectorized":
+            if self.config.engine == "vectorized":
                 lines.append(
                     f"Vectorized: {stats.vectorized_nodes} columnar "
                     f"node(s), {stats.row_fallback_nodes} row-fallback "
@@ -466,9 +452,9 @@ class Connection:
 
     def _implicit_begin(self) -> None:
         """Open the implicit DB-API transaction when ``autocommit`` is
-        off — shared by every statement surface (cursors, prepared
-        statements), so repeatable reads hold regardless of which
-        surface ran the statement."""
+        off — called by both SELECT entries (:meth:`_run_select`,
+        :meth:`_run_select_cached`), so repeatable reads hold regardless
+        of which surface ran the statement."""
         if self._txn is None and not self.autocommit:
             self.begin()
 
@@ -497,19 +483,10 @@ class Connection:
             strategy = self.config.default_strategy
         return strategy
 
-    def _optimize_plan(self, plan: Operator,
-                       catalog: Catalog | None = None) -> Operator:
-        """The session's logical-optimizer step (no-op when disabled)."""
-        if self.config.optimize:
-            from ..engine.optimizer import optimize as optimize_tree
-            plan = optimize_tree(
-                plan, catalog if catalog is not None else self.catalog)
-        return plan
-
     def _lower(self, plan: Operator,
-               catalog: Catalog) -> "PhysicalPlan":
+               catalog: Catalog) -> PhysicalPlan:
         """Physical lowering with the given catalog and the session's
-        index knob — the one spelling shared by every planning surface,
+        index and parallelism knobs — the session's only spelling of it,
         so EXPLAIN output always describes the plan execution would run."""
         from ..engine.lowering import lower_plan
         physical = lower_plan(plan, catalog,
@@ -517,33 +494,43 @@ class Connection:
         workers = self.config.max_parallel_workers
         if workers >= 2 or catalog.partitions():
             from ..engine.parallel import parallelize_plan
-            engine_name = self.config.engine \
-                if self.config.engine == "vectorized" else "pipelined"
             physical = parallelize_plan(
                 physical, catalog, workers,
-                self.config.parallel_threshold, engine_name)
+                self.config.parallel_threshold, self.config.engine)
         return physical
 
-    def _build_plan_full(self, statement: SelectStmt, strategy: str | None,
-                         catalog: Catalog
-                         ) -> tuple[Operator, list[BaseAccess] | None]:
-        """analyze → (rewrite): the un-optimized plan plus the rewrite's
-        base-access bookkeeping; the statement is left untouched."""
+    def _logical_plan(self, statement: SelectStmt, override: str | None,
+                      catalog: Catalog, optimized: bool = True
+                      ) -> tuple[Operator, list[BaseAccess] | None,
+                                 str | None]:
+        """analyze → (rewrite) → (optimize): the logical plan, the
+        rewrite's base-access bookkeeping and the effective strategy;
+        the statement is left untouched."""
+        strategy = self._effective_strategy(statement, override)
         plan = Analyzer(catalog).analyze(statement)
         accesses: list[BaseAccess] | None = None
         if strategy:
             rewriter = ProvenanceRewriter(catalog, strategy, self.config)
             result = rewriter.rewrite_query(plan)
             plan, accesses = result.plan, result.accesses
-        return plan, accesses
+        if optimized and self.config.optimize:
+            from ..engine.optimizer import optimize
+            plan = optimize(plan, catalog)
+        return plan, accesses, strategy
 
-    def _build_plan(self, statement: SelectStmt,
-                    strategy: str | None,
-                    catalog: Catalog | None = None) -> Operator:
-        """Back-compat spelling of :meth:`_build_plan_full` (plan only)."""
-        if catalog is None:
-            catalog = self._read_catalog()
-        return self._build_plan_full(statement, strategy, catalog)[0]
+    def _plan(self, statement: SelectStmt, override: str | None,
+              catalog: Catalog) -> CachedPlan:
+        """The one planner: analyze → rewrite → optimize → lower, into
+        an executable (not yet cached) :class:`CachedPlan`.
+        :meth:`_get_plan` wraps it with cache lookup/store; the one-shot
+        surfaces call it directly."""
+        plan, accesses, strategy = self._logical_plan(
+            statement, override, catalog)
+        return CachedPlan(plan, statement.param_count, strategy,
+                          catalog.version,
+                          physical=self._lower(plan, catalog),
+                          accesses=accesses,
+                          stats_version=catalog.stats_version)
 
     def _plan_key(self, sql: str, override: str | None,
                   catalog: Catalog | None = None) -> tuple:
@@ -557,7 +544,7 @@ class Connection:
         # trade plans.
         return (sql, override, self.config.default_strategy,
                 self.config.engine, self.config.optimize,
-                self.config.compile_expressions, self.config.use_indexes,
+                self.config.use_indexes,
                 self.config.max_parallel_workers,
                 self.config.parallel_threshold,
                 catalog.version, catalog.stats_version)
@@ -576,27 +563,11 @@ class Connection:
         key = self._plan_key(sql, override, catalog)
         cache = self._active_cache()
         cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        if statement is None:
-            parsed = self._parse(sql)
-            if not isinstance(parsed, SelectStmt):
-                raise AnalyzerError("expected a SELECT statement")
-            statement = parsed
-        strategy = self._effective_strategy(statement, override)
-        plan, accesses = self._build_plan_full(statement, strategy, catalog)
-        plan = self._optimize_plan(plan, catalog)
-        physical = None
-        if self.config.engine != "materializing":
-            # The baseline engine never executes the physical tree, so
-            # only the pipelined configuration pays for lowering.
-            physical = self._lower(plan, catalog)
-        cached = CachedPlan(plan, statement.param_count, strategy,
-                            catalog.version,
-                            physical=physical,
-                            accesses=accesses,
-                            stats_version=catalog.stats_version)
-        cache.store(key, cached)
+        if cached is None:
+            if statement is None:
+                statement = _parse_select(sql, "execute()")
+            cached = self._plan(statement, override, catalog)
+            cache.store(key, cached)
         return cached
 
     # -- execution internals --------------------------------------------------
@@ -610,16 +581,10 @@ class Connection:
 
     def _execute_plan(self, cached: CachedPlan, params: tuple,
                       catalog: Catalog) -> Result:
-        """Run an already-planned cached statement (no per-call optimizer
-        or lowering — a leased physical instance streams directly)."""
-        executor = Executor(catalog, optimize=False,
-                            config=self.config,
-                            compiled_cache=cached.compiled)
-        if self.config.engine == "materializing":
-            relation = executor.execute(cached.plan, params)
-            self._finish_stats(executor)
-            return Result.completed(relation, strategy=cached.strategy,
-                                    accesses=cached.accesses)
+        """Run an already-planned statement — the one place a SELECT
+        meets an :class:`Executor` (no per-call optimizer or lowering:
+        a leased physical instance streams directly)."""
+        executor = Executor(catalog, optimize=False, config=self.config)
         instance = cached.acquire_physical(
             lambda: self._lower(cached.plan, catalog))
 
@@ -635,26 +600,19 @@ class Connection:
         self._live_results.add(result)
         return result
 
-    def _execute_uncached(self, plan: Operator, param_count: int,
-                          params: Sequence[Any], catalog: Catalog,
-                          strategy: str | None = None,
-                          accesses: list[BaseAccess] | None = None
-                          ) -> Result:
-        values = check_arity(param_count, params)
-        executor = Executor(catalog, config=self.config)
-        relation = executor.execute(plan, values)
-        self._finish_stats(executor)
-        return Result.completed(relation, strategy=strategy,
-                                accesses=accesses)
-
-    def _run_select_uncached(self, statement: SelectStmt,
-                             strategy: str | None = None,
-                             params: Sequence[Any] = ()) -> Result:
+    def _run_select(self, statement: SelectStmt,
+                    override: str | None = None,
+                    params: Sequence[Any] = ()) -> Result:
+        """The one-shot SELECT entry (``sql`` / ``provenance`` /
+        scripts): plan without touching the plan cache, execute, drain —
+        so errors surface here and ``last_stats`` is final on return."""
+        self._implicit_begin()
         catalog = self._read_catalog()
-        effective = self._effective_strategy(statement, strategy)
-        plan, accesses = self._build_plan_full(statement, effective, catalog)
-        return self._execute_uncached(plan, statement.param_count, params,
-                                      catalog, effective, accesses)
+        cached = self._plan(statement, override, catalog)
+        result = self._execute_plan(
+            cached, check_arity(cached.param_count, params), catalog)
+        result.rows     # drain; a failure releases the leased instance
+        return result
 
     def _execute_text(self, sql: str,
                       params: Sequence[Any]) -> Result | int | None:
@@ -686,12 +644,15 @@ class Connection:
 
     def _run_select_cached(self, sql: str, statement: SelectStmt | None,
                            params: Sequence[Any],
-                           catalog: Catalog | None = None) -> Result:
-        """Plan-cache lookup (hit counting included) + execution — the
-        one spelling behind every cached-SELECT dispatch branch."""
+                           catalog: Catalog | None = None,
+                           override: str | None = None) -> Result:
+        """The cached SELECT entry (``execute`` / cursors / prepared
+        statements): plan-cache lookup (hit counting included) +
+        streaming execution."""
         if catalog is None:
+            self._implicit_begin()
             catalog = self._read_catalog()
-        cached = self._get_plan(sql, statement=statement, catalog=catalog)
+        cached = self._get_plan(sql, override, statement, catalog)
         return self._execute_plan(
             cached, check_arity(cached.param_count, params), catalog)
 
@@ -761,7 +722,7 @@ class Connection:
         """Execute a parsed statement (the non-plan-cached dispatch)."""
         values = check_arity(getattr(statement, "param_count", 0), params)
         if isinstance(statement, SelectStmt):
-            return self._run_select_uncached(statement, params=values)
+            return self._run_select(statement, params=values)
         if isinstance(statement, BeginStmt):
             self.begin()
             return None
@@ -872,3 +833,11 @@ def connect(config: SessionConfig | None = None,
 def _constant(expr: Expr, params: tuple = ()) -> Any:
     """Evaluate a constant expression (INSERT VALUES; ? params allowed)."""
     return evaluate(expr, EvalContext((), None, params))
+
+
+def _parse_select(text: str, surface: str) -> SelectStmt:
+    """Parse *text*, which *surface* requires to be a SELECT."""
+    statement = parse_statement(text)
+    if not isinstance(statement, SelectStmt):
+        raise AnalyzerError(f"{surface} expects a SELECT statement")
+    return statement

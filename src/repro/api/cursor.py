@@ -103,9 +103,8 @@ class Cursor:
         self._check_open()
         self._discard_pending()
         result = self._connection._execute_text(sql, params)
-        if isinstance(result, Relation):
-            self._result = result if isinstance(result, Result) \
-                else Result.completed(result)
+        if isinstance(result, Result):
+            self._result = result
         elif isinstance(result, int):
             self._rowcount = result
         return self
@@ -125,7 +124,6 @@ class Cursor:
         total = 0
         saw_count = False
         if isinstance(statement, SelectStmt):
-            connection._implicit_begin()
             for params in seq_of_params:
                 result = connection._run_select_cached(sql, statement,
                                                        params)

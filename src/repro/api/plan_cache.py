@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Callable, Hashable
 
 from ..algebra.operators import Operator
 from ..engine.physical import PhysicalPlan
@@ -61,10 +61,6 @@ class CachedPlan:
     #: statement was not a provenance query) — carried into
     #: :class:`repro.api.result.Result` for the witness accessors.
     accesses: list[BaseAccess] | None = None
-    #: compiled-expression closures for the materializing engine, shared
-    #: across executions of this plan (keyed by expression node identity
-    #: — valid only for ``plan``).
-    compiled: dict[int, Any] = field(default_factory=dict)
     #: physical instances currently leased (acquired, not yet returned).
     #: Observable through :meth:`PlanCache.leased_instances` — a non-zero
     #: steady-state value means some execution path abandoned a streaming
@@ -92,9 +88,12 @@ class CachedPlan:
             self.leased += 1
             if self._pool:
                 return self._pool.pop()
-        instance = lower()
-        if self.physical is None:
-            self.physical = instance    # adopt as the template
+        try:
+            instance = lower()
+        except BaseException:
+            with self._pool_lock:
+                self.leased -= 1    # nothing was handed out
+            raise
         return instance
 
     def release_physical(self, instance: PhysicalPlan) -> None:

@@ -41,8 +41,8 @@ class PreparedStatement:
         first = ps.execute((10,))
         second = ps.execute((3,))      # plan-cache hit: no re-planning
 
-    SELECTs return a :class:`~repro.relation.Relation`; INSERT/DELETE
-    return the affected row count; DDL returns None.
+    SELECTs return a streaming :class:`~repro.api.result.Result`;
+    INSERT/DELETE return the affected row count; DDL returns None.
     """
 
     def __init__(self, connection: "Connection", sql: str,
@@ -95,12 +95,9 @@ class PreparedStatement:
         values = check_arity(self._param_count, params)
         connection = self._connection
         if isinstance(self._statement, SelectStmt):
-            connection._implicit_begin()
-            catalog = connection._read_catalog()
-            cached = connection._get_plan(
-                self._sql, self._strategy, statement=self._statement,
-                catalog=catalog)
-            return connection._execute_plan(cached, values, catalog)
+            return connection._run_select_cached(
+                self._sql, self._statement, values,
+                override=self._strategy)
         return connection._run_statement(self._statement, values)
 
     __call__ = execute

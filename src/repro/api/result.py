@@ -33,7 +33,7 @@ carrying every combination of contributing input rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator
 
 from ..errors import InterfaceError
 from ..provenance.naming import BaseAccess
@@ -77,32 +77,19 @@ class Result(Relation):
 
     # __weakref__ lets sessions track live streaming results without
     # keeping abandoned ones alive (Connection.close sweeps the set)
-    __slots__ = ("_batches", "_exhausted", "_on_close", "_accesses",
-                 "_strategy", "__weakref__")
+    __slots__ = ("_batches", "_exhausted", "_accesses", "_strategy",
+                 "__weakref__")
 
-    def __init__(self, schema: Schema, batches: Iterator[list] | None = None,
-                 rows: list | None = None,
-                 on_close: Callable[[], None] | None = None,
+    def __init__(self, schema: Schema, batches: Iterator[list],
                  strategy: str | None = None,
                  accesses: list[BaseAccess] | None = None) -> None:
         self.schema = schema
-        Relation.rows.__set__(self, rows if rows is not None else [])
-        self._batches = batches
-        self._exhausted = batches is None
-        self._on_close = on_close
+        Relation.rows.__set__(self, [])
+        self._batches: Iterator[list] | None = batches
+        self._exhausted = False
         self._accesses = accesses
         self._strategy = strategy
-        if batches is not None:
-            self._pull()    # errors surface here; first rows are ready
-
-    @classmethod
-    def completed(cls, relation: Relation,
-                  strategy: str | None = None,
-                  accesses: list[BaseAccess] | None = None) -> "Result":
-        """Wrap an already-materialized relation (DDL-free helpers, the
-        materializing engine)."""
-        return cls(relation.schema, rows=relation.rows,
-                   strategy=strategy, accesses=accesses)
+        self._pull()    # errors surface here; first rows are ready
 
     # -- streaming ------------------------------------------------------------
 
@@ -137,9 +124,6 @@ class Result(Relation):
     def _finish(self) -> None:
         self._exhausted = True
         self._batches = None
-        if self._on_close is not None:
-            callback, self._on_close = self._on_close, None
-            callback()
 
     @property
     def rows(self) -> list:
@@ -160,9 +144,6 @@ class Result(Relation):
         self._exhausted = True
         if batches is not None:
             batches.close()
-        if self._on_close is not None:
-            callback, self._on_close = self._on_close, None
-            callback()
 
     def __enter__(self) -> "Result":
         return self

@@ -1,18 +1,18 @@
 """Engine comparison benchmark (``python -m repro.bench --engine``).
 
-One grid, three engines.  Every cell is a provenance query — the
+One grid, two engines.  Every cell is a provenance query — the
 fig8/fig9 synthetic workloads (q1 equality-ANY and q2 inequality-ALL
 across their rewrite strategies) plus the uncorrelated TPC-H sublink
 templates (Q11/Q15/Q16 under Left and Move) — prepared once per engine
 and re-executed through the plan cache, so each cell isolates
-*execution*: the same physical plan shape interpreted row-at-a-time
-(materializing), pulled in row batches (pipelined), or run over column
-vectors (vectorized).
+*execution*: the same physical plan shape pulled in row batches
+(pipelined) or run over column vectors (vectorized).
 
-Every cell also cross-checks the three engines' result multisets, so a
-bench run doubles as a coarse parity sweep, and records the vectorized
-plan's columnar/row-fallback node counts so regressions to the slow
-path show up in the committed JSON (``BENCH_engine.json``).
+Every cell also cross-checks that the two engines return identical
+rows in identical order, so a bench run doubles as a coarse parity
+sweep, and records the vectorized plan's columnar/row-fallback node
+counts so regressions to the slow path show up in the committed JSON
+(``BENCH_engine.json``).
 
 The Gen strategy keeps correlated sublinks, which execute per-row and
 cannot vectorize; it is measured only at the smallest synthetic size
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from ..api import connect
+from ..engine import ENGINES
 from ..synthetic import SyntheticConfig, load_synthetic, q1_sql, q2_sql
 from ..tpch import install_views, load_tpch, query_sql
-
-ENGINES = ("materializing", "pipelined", "vectorized")
 
 #: fig8 shape: |R1| fixed, the sublink relation |R2| varies.
 FIG8_INPUT_SIZE = 500
@@ -52,7 +50,7 @@ TPCH_SCALE = 0.00015   # the rescaled "10MB" point of FIG6_SCALES
 
 @dataclass
 class EngineCell:
-    """One (workload, strategy) point measured on all three engines."""
+    """One (workload, strategy) point measured on both engines."""
 
     workload: str            # "fig8", "fig9" or "tpch"
     case: str                # "q1", "q2" or "Q11"
@@ -91,30 +89,21 @@ class EngineBenchResult:
     repeats: int
     cells: list[EngineCell]
 
-    def _geomean(self, numer: str, denom: str) -> float:
-        ratios = []
-        for cell in self.cells:
-            if cell.seconds[denom] > 0:
-                ratios.append(cell.seconds[numer] / cell.seconds[denom])
-        if not ratios:
-            return float("nan")
-        return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-
     @property
     def vectorized_speedup(self) -> float:
         """Geometric-mean vectorized-vs-pipelined speedup over the grid."""
-        return self._geomean("pipelined", "vectorized")
-
-    @property
-    def vectorized_vs_materializing(self) -> float:
-        return self._geomean("materializing", "vectorized")
+        ratios = [cell.vectorized_speedup for cell in self.cells
+                  if cell.seconds["vectorized"] > 0]
+        if not ratios:
+            return float("nan")
+        return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
     def to_dict(self) -> dict:
         return {
             "repeats": self.repeats,
             "engines": list(ENGINES),
+            "parity": "bit-identical",   # _time_cell raises otherwise
             "vectorized_speedup": self.vectorized_speedup,
-            "vectorized_vs_materializing": self.vectorized_vs_materializing,
             "cells": [cell.to_dict() for cell in self.cells],
         }
 
@@ -127,15 +116,15 @@ def _provenance_sql(sql: str) -> str:
 
 def _time_cell(catalog, sql: str, strategy: str, repeats: int,
                workload: str, case: str, size: str) -> EngineCell:
-    """Measure one query on all three engines over a shared catalog."""
+    """Measure one query on both engines over a shared catalog."""
     timings: dict[str, float] = {}
-    results: dict[str, Counter] = {}
+    results: dict[str, list] = {}
     vectorized_nodes = row_fallback_nodes = 0
     for engine in ENGINES:
         conn = connect(engine=engine, catalog=catalog)
         statement = conn.prepare(sql, strategy=strategy)
         relation = statement.execute(())   # warm: plan cached, cache hot
-        results[engine] = Counter(relation.rows)
+        results[engine] = relation.rows
         best = float("inf")
         for _ in range(3):                 # best-of-3 rounds
             start = time.perf_counter()
@@ -147,12 +136,11 @@ def _time_cell(catalog, sql: str, strategy: str, repeats: int,
             vectorized_nodes = conn.last_stats.vectorized_nodes
             row_fallback_nodes = conn.last_stats.row_fallback_nodes
         conn.close()
-    if not (results["vectorized"] == results["pipelined"]
-            == results["materializing"]):
+    if results["vectorized"] != results["pipelined"]:
         raise AssertionError(
             f"engines disagree on {workload}/{case}/{size}/{strategy}")
     return EngineCell(workload, case, size, strategy,
-                      sum(results["vectorized"].values()), timings,
+                      len(results["vectorized"]), timings,
                       vectorized_nodes, row_fallback_nodes)
 
 
@@ -215,7 +203,7 @@ def _format_cell(cell: EngineCell) -> str:
     per = {engine: f"{cell.seconds[engine] * 1000:9.3f}"
            for engine in ENGINES}
     return (f"{cell.workload:5s} {cell.case:4s} {cell.size:22s} "
-            f"{cell.strategy:5s} {per['materializing']} "
+            f"{cell.strategy:5s} "
             f"{per['pipelined']} {per['vectorized']} "
             f"{cell.vectorized_speedup:6.1f}x "
             f"[{cell.vectorized_nodes}c/{cell.row_fallback_nodes}r]")
@@ -224,13 +212,11 @@ def _format_cell(cell: EngineCell) -> str:
 def format_engine_bench(result: EngineBenchResult) -> str:
     lines = [
         "workload case size                   strat "
-        "   mat ms   pipe ms    vec ms  vec/pipe [plan]",
+        "  pipe ms    vec ms  vec/pipe [plan]",
     ]
     lines += [_format_cell(cell) for cell in result.cells]
     lines += [
         f"geomean vectorized vs pipelined      "
         f"{result.vectorized_speedup:6.2f}x",
-        f"geomean vectorized vs materializing  "
-        f"{result.vectorized_vs_materializing:6.2f}x",
     ]
     return "\n".join(lines)

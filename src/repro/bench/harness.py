@@ -4,9 +4,8 @@ The paper excludes runs over six hours; at reproduction scale the
 equivalent is a per-case wall-clock budget enforced with ``SIGALRM``
 (the executor is pure Python, so the alarm interrupts it cleanly).
 
-The query-timing helpers accept either the legacy
-:class:`~repro.db.Database` facade or a :class:`~repro.api.Connection`;
-both run the *uncached* planning path (``provenance()`` / ``sql()``), so
+The query-timing helpers take a :class:`~repro.api.Connection` and run
+its *uncached* one-shot surfaces (``provenance()`` / ``sql()``), so
 figure measurements are never contaminated by the plan cache.
 :func:`time_prepared_query` times the cached-plan path explicitly, for the
 prepared-statement micro-benchmark.
@@ -17,12 +16,9 @@ from __future__ import annotations
 import signal
 import time
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from ..api import Connection
-from ..db import Database
-
-Session = Union[Database, Connection]
 
 
 class Timeout(Exception):
@@ -68,17 +64,17 @@ def run_with_timeout(fn, timeout_s: float | None) -> BenchResult:
         signal.signal(signal.SIGALRM, previous)
 
 
-def time_provenance_query(db: Session, sql: str, strategy: str,
+def time_provenance_query(conn: Connection, sql: str, strategy: str,
                           timeout_s: float | None = None) -> BenchResult:
     """Time one provenance query under *strategy* (uncached planning)."""
     return run_with_timeout(
-        lambda: db.provenance(sql, strategy=strategy), timeout_s)
+        lambda: conn.provenance(sql, strategy=strategy), timeout_s)
 
 
-def time_plain_query(db: Session, sql: str,
+def time_plain_query(conn: Connection, sql: str,
                      timeout_s: float | None = None) -> BenchResult:
     """Time the original (non-provenance) query, as a baseline."""
-    return run_with_timeout(lambda: db.sql(sql), timeout_s)
+    return run_with_timeout(lambda: conn.sql(sql), timeout_s)
 
 
 def time_prepared_query(conn: Connection, sql: str,

@@ -3,21 +3,19 @@
 Four checks, all run by CI as regression gates:
 
 * **Plan cache** — the same provenance query executed two ways over one
-  catalog: the legacy per-call path (``Database.sql()`` re-parses,
+  session: the uncached per-call path (``conn.sql()`` re-parses,
   re-analyzes, re-rewrites, re-optimizes and re-lowers on every call)
   versus a :class:`~repro.api.PreparedStatement` planned once and
-  re-executed through the plan cache.  The speedup is what the plan
+  re-executed through the plan cache.  Both execute through the same
+  ``Connection._execute_plan``, so the speedup is exactly what the plan
   cache buys on a repeated query.
 
-* **Engine** — all three execution engines on the *synthetic
-  provenance workload* (the paper's Section 4.2.2 q1 under the Unn
-  strategy, which plans to the hash equi-join of Figures 7-9): the
-  original materializing interpreter, the pipelined row-batch engine
-  and the columnar vectorized engine.  All run the same cached physical
-  plan shape, so the ratios isolate execution: batched pulls and
-  batch-compiled expressions against per-row tree interpretation, and
-  whole-column kernels over selection vectors against per-row batch
-  loops.  Two gates: pipelined >= 1.5x over materializing, and
+* **Engine** — both batch engines on the *synthetic provenance
+  workload* (the paper's Section 4.2.2 q1 under the Unn strategy, which
+  plans to the hash equi-join of Figures 7-9): the pipelined row-batch
+  engine and the columnar vectorized engine.  Both run the same cached
+  physical plan shape, so the ratio isolates execution: whole-column
+  kernels over selection vectors against per-row batch loops.  Gate:
   vectorized >= 2x over pipelined.  The check also asserts the Unn
   plan still picks a hash join — the paper's Figures 7-9 behaviour.
 
@@ -73,7 +71,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from ..api import Engine, connect
-from ..db import Database
 from ..synthetic import SyntheticConfig, load_synthetic, q1_sql
 
 #: Small Figure-3-shaped relations: the plan-cache workload is
@@ -123,12 +120,11 @@ class SmokeResult:
     """Outcome of the three smoke micro-benchmarks."""
 
     repeats: int
-    legacy_seconds: float        # total, Database.sql() per call
+    legacy_seconds: float        # total, uncached conn.sql() per call
     prepared_seconds: float      # total, PreparedStatement.execute per call
     cache_hits: int
     rows: int
     engine_repeats: int
-    materializing_seconds: float  # total, materializing engine per call
     pipelined_seconds: float      # total, pipelined engine per call
     vectorized_seconds: float     # total, vectorized engine per call
     engine_rows: int
@@ -158,13 +154,6 @@ class SmokeResult:
         if self.prepared_seconds == 0:
             return float("inf")
         return self.legacy_seconds / self.prepared_seconds
-
-    @property
-    def engine_speedup(self) -> float:
-        """Pipelined engine vs the materializing baseline."""
-        if self.pipelined_seconds == 0:
-            return float("inf")
-        return self.materializing_seconds / self.pipelined_seconds
 
     @property
     def vectorized_speedup(self) -> float:
@@ -215,7 +204,6 @@ class SmokeResult:
         trajectories are comparable across PRs)."""
         data = asdict(self)
         data["speedup"] = self.speedup
-        data["engine_speedup"] = self.engine_speedup
         data["vectorized_speedup"] = self.vectorized_speedup
         data["index_lookup_speedup"] = self.index_lookup_speedup
         data["index_join_speedup"] = self.index_join_speedup
@@ -239,19 +227,18 @@ def _populate(session) -> None:
 def _run_plan_cache(repeats: int) -> tuple[float, float, int, int]:
     conn = connect()
     _populate(conn)
-    db = Database(conn)   # same catalog, legacy uncached path
 
     # Warm both paths once so first-call effects are excluded.
-    baseline = db.sql(_LEGACY_QUERY)
+    baseline = conn.sql(_LEGACY_QUERY)
     statement = conn.prepare(_QUERY)
     prepared_rows = statement.execute((40,))
     if sorted(prepared_rows.rows) != sorted(baseline.rows):
         raise AssertionError(
-            "prepared path disagrees with the legacy path")
+            "prepared path disagrees with the uncached path")
 
     start = time.perf_counter()
     for _ in range(repeats):
-        db.sql(_LEGACY_QUERY)
+        conn.sql(_LEGACY_QUERY)
     legacy_seconds = time.perf_counter() - start
 
     hits_before = conn.plan_cache.hits
@@ -265,14 +252,14 @@ def _run_plan_cache(repeats: int) -> tuple[float, float, int, int]:
 
 
 def _run_engines(repeats: int, size: int = _ENGINE_SIZE
-                 ) -> tuple[float, float, float, int, int]:
+                 ) -> tuple[float, float, int, int]:
     db = load_synthetic(SyntheticConfig(size, size, seed=0))
     sql = "SELECT PROVENANCE " + q1_sql(size, size, seed=0)[len("SELECT "):]
 
     timings: dict[str, float] = {}
     results: dict[str, Counter] = {}
     hash_joins = 0
-    for engine in ("materializing", "pipelined", "vectorized"):
+    for engine in ("pipelined", "vectorized"):
         conn = connect(engine=engine, catalog=db.catalog)
         statement = conn.prepare(sql, strategy="unn")
         relation = statement.execute(())    # warm: plan cached, table hot
@@ -291,13 +278,11 @@ def _run_engines(repeats: int, size: int = _ENGINE_SIZE
             raise AssertionError(
                 "the Unn workload no longer vectorizes end to end")
         conn.close()
-    if not (results["vectorized"] == results["pipelined"]
-            == results["materializing"]):
+    if results["vectorized"] != results["pipelined"]:
         raise AssertionError(
-            "the three engines disagree on the Unn workload")
-    return (timings["materializing"], timings["pipelined"],
-            timings["vectorized"], sum(results["pipelined"].values()),
-            hash_joins)
+            "the two engines disagree on the Unn workload")
+    return (timings["pipelined"], timings["vectorized"],
+            sum(results["pipelined"].values()), hash_joins)
 
 
 def _index_session():
@@ -499,7 +484,7 @@ def _run_durability(rows_n: int = _DURABLE_ROWS
         def rebuild_from_csv():
             conn = connect()
             conn.execute(_DURABLE_DDL)
-            load_csv(Database(conn), "events", csv_path)
+            load_csv(conn, "events", csv_path)
             for ddl in _DURABLE_INDEXES:
                 conn.execute(ddl)
             conn.execute("ANALYZE")
@@ -596,8 +581,8 @@ def run_smoke(repeats: int = 20, engine_repeats: int = 5) -> SmokeResult:
             f"engine_repeats must be >= 1, got {engine_repeats}")
     legacy_seconds, prepared_seconds, cache_hits, rows = \
         _run_plan_cache(repeats)
-    (materializing_seconds, pipelined_seconds, vectorized_seconds,
-     engine_rows, hash_joins) = _run_engines(engine_repeats)
+    pipelined_seconds, vectorized_seconds, engine_rows, hash_joins = \
+        _run_engines(engine_repeats)
     (index_lookups, seq_lookup_seconds, index_lookup_seconds,
      index_join_rows, nlj_seconds, inlj_seconds) = \
         _run_indexes(engine_repeats)
@@ -614,7 +599,6 @@ def run_smoke(repeats: int = 20, engine_repeats: int = 5) -> SmokeResult:
         cache_hits=cache_hits,
         rows=rows,
         engine_repeats=engine_repeats,
-        materializing_seconds=materializing_seconds,
         pipelined_seconds=pipelined_seconds,
         vectorized_seconds=vectorized_seconds,
         engine_rows=engine_rows,
@@ -643,8 +627,6 @@ def run_smoke(repeats: int = 20, engine_repeats: int = 5) -> SmokeResult:
 def format_smoke(result: SmokeResult) -> str:
     per_legacy = result.legacy_seconds / result.repeats * 1000
     per_prepared = result.prepared_seconds / result.repeats * 1000
-    per_materializing = \
-        result.materializing_seconds / result.engine_repeats * 1000
     per_pipelined = result.pipelined_seconds / result.engine_repeats * 1000
     per_vectorized = \
         result.vectorized_seconds / result.engine_repeats * 1000
@@ -653,17 +635,15 @@ def format_smoke(result: SmokeResult) -> str:
         f"repeats                  {result.repeats}",
         f"result rows              {result.rows}",
         f"plan-cache hits          {result.cache_hits}",
-        f"Database.sql() per call  {per_legacy:8.3f} ms",
+        f"conn.sql() per call      {per_legacy:8.3f} ms",
         f"prepared per call        {per_prepared:8.3f} ms",
         f"speedup                  {result.speedup:8.1f}x",
         "-- engine (synthetic q1 provenance, Unn) --",
         f"repeats                  {result.engine_repeats}",
         f"result rows              {result.engine_rows}",
         f"hash joins (Unn plan)    {result.engine_hash_joins}",
-        f"materializing per call   {per_materializing:8.3f} ms",
         f"pipelined per call       {per_pipelined:8.3f} ms",
         f"vectorized per call      {per_vectorized:8.3f} ms",
-        f"engine speedup           {result.engine_speedup:8.1f}x",
         f"vectorized speedup       {result.vectorized_speedup:8.1f}x",
         "-- indexes (point lookups + probe/build join) --",
         f"point lookups            {result.index_lookups}",

@@ -66,7 +66,6 @@ import sys
 import time
 
 from .api import Connection
-from .db import Database
 from .errors import ReproError
 from .provenance import strategies
 
@@ -74,12 +73,8 @@ from .provenance import strategies
 class Shell:
     """State and command dispatch for the REPL."""
 
-    def __init__(self, db: Database | Connection | None = None):
-        if isinstance(db, Connection):
-            self.db = Database(db)
-        else:
-            self.db = db or Database()
-        self.conn = self.db.connection
+    def __init__(self, conn: Connection | None = None):
+        self.conn = conn or Connection()
         self.timing = False
         #: wire connection while ``\connect``-ed to a server, else None
         self.remote = None
@@ -266,7 +261,6 @@ class Shell:
         except ReproError as exc:
             print(f"error: {exc}", file=out)
             return
-        self.db = Database(conn)
         self.conn = conn
         old.close()
         names = conn.catalog.names()

@@ -2,9 +2,10 @@
 
 Planning is two-phase — the logical rewrite (:mod:`.optimizer`) followed
 by physical lowering (:mod:`.lowering`) into the batched operator tree of
-:mod:`.physical` — and execution is pipelined and vectorized
-(:mod:`.pipeline`), with the original materializing interpreter
-(:mod:`.materialize`) kept as a selectable baseline.
+:mod:`.physical` — and one :class:`Executor` (:mod:`.executor`) pulls
+batches through it: row tuples under ``engine="pipelined"``, column
+vectors where :mod:`.vectorized` can compile the node under
+``engine="vectorized"``.
 """
 
 from .cost import CardinalityEstimator

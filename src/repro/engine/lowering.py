@@ -26,8 +26,8 @@ index registry (:mod:`repro.engine.cost`, :mod:`repro.storage.index`):
   ``EXPLAIN`` and the estimated-vs-actual report of ``EXPLAIN ANALYZE``.
 
 Without a catalog the lowering is the previous rule-only translation
-(SeqScan + HashJoin-for-equi-keys), so plain unit tests and the
-materializing baseline see identical plans to earlier releases.
+(SeqScan + HashJoin-for-equi-keys), so plain unit tests see identical
+plans to earlier releases.
 
 Lowering remains pure plan construction: the catalog is only *read* (for
 statistics and index metadata), no execution state is created.  The

@@ -3,7 +3,7 @@ execution protocol.
 
 The optimizer's second phase (:mod:`repro.engine.lowering`) lowers a
 logical :mod:`repro.algebra.operators` tree into these nodes; the
-pipelined engine (:mod:`repro.engine.pipeline`) then drives the root with
+engine (:mod:`repro.engine.executor`) then drives the root with
 ``open`` / ``next_batch`` / ``close`` over fixed-size row batches — the
 Volcano protocol, vectorized, with late materialization into a
 :class:`~repro.relation.Relation` only at the sink.
@@ -29,7 +29,7 @@ of a cached plan is safe because ``open`` resets everything.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..datatypes import is_true
 from ..expressions.ast import Expr, Sublink
@@ -46,7 +46,7 @@ from ..relation import Relation
 from ..schema import Schema
 
 if TYPE_CHECKING:
-    from .pipeline import PipelineEngine
+    from .executor import Executor
     from .stats import ExecutionStats
 
 
@@ -119,7 +119,7 @@ class PhysicalOperator:
     def children(self) -> tuple["PhysicalOperator", ...]:
         return ()
 
-    def open(self, engine: PipelineEngine,
+    def open(self, engine: Executor,
              frames: tuple) -> None:
         self.engine = engine
         self.frames = frames
@@ -353,7 +353,7 @@ class Filter(PhysicalOperator):
     """Streaming selection: the predicate is batch-compiled once per node
     and applied to each input batch in a single call."""
 
-    __slots__ = ("child", "condition", "index", "_fn", "_fn_compiled")
+    __slots__ = ("child", "condition", "index", "_fn")
 
     def __init__(self, child: PhysicalOperator, condition: Expr,
                  index: dict[str, int]) -> None:
@@ -362,17 +362,13 @@ class Filter(PhysicalOperator):
         self.condition = condition
         self.index = index
         self._fn = None
-        self._fn_compiled: bool | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
     def _predicate(self) -> BatchFilter:
-        flag = self.engine.compile_expressions
-        if self._fn is None or self._fn_compiled is not flag:
-            self._fn = compile_batch_predicate(
-                self.condition, self.index, use_compiler=flag)
-            self._fn_compiled = flag
+        if self._fn is None:
+            self._fn = compile_batch_predicate(self.condition, self.index)
         return self._fn
 
     def next_batch(self) -> list | None:
@@ -394,8 +390,7 @@ class Project(PhysicalOperator):
     """Streaming projection; ``distinct`` keeps first occurrences across
     the whole stream (bag -> set projection)."""
 
-    __slots__ = ("child", "items", "distinct", "index", "_fn",
-                 "_fn_compiled", "_seen")
+    __slots__ = ("child", "items", "distinct", "index", "_fn", "_seen")
 
     def __init__(self, child: PhysicalOperator, items: tuple,
                  distinct: bool, index: dict[str, int]) -> None:
@@ -405,7 +400,6 @@ class Project(PhysicalOperator):
         self.distinct = distinct
         self.index = index
         self._fn = None
-        self._fn_compiled: bool | None = None
         self._seen: dict | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -415,12 +409,9 @@ class Project(PhysicalOperator):
         self._seen = {} if self.distinct else None
 
     def _projector(self) -> BatchProjector:
-        flag = self.engine.compile_expressions
-        if self._fn is None or self._fn_compiled is not flag:
+        if self._fn is None:
             self._fn = compile_batch_projector(
-                tuple(expr for _, expr in self.items), self.index,
-                use_compiler=flag)
-            self._fn_compiled = flag
+                tuple(expr for _, expr in self.items), self.index)
         return self._fn
 
     def next_batch(self) -> list | None:
@@ -460,7 +451,7 @@ class HashJoin(PhysicalOperator):
 
     __slots__ = ("left", "right", "left_positions", "right_positions",
                  "residual", "kind", "right_width", "index",
-                 "_table", "_residual_fn", "_fn_compiled")
+                 "_table", "_residual_fn")
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  keys: list[tuple[int, int]], residual: Expr | None,
@@ -476,7 +467,6 @@ class HashJoin(PhysicalOperator):
         self.index = index
         self._table: dict | None = None
         self._residual_fn = None
-        self._fn_compiled: bool | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
@@ -506,11 +496,9 @@ class HashJoin(PhysicalOperator):
     def _residual(self) -> BatchFilter | None:
         if self.residual is None:
             return None
-        flag = self.engine.compile_expressions
-        if self._residual_fn is None or self._fn_compiled is not flag:
+        if self._residual_fn is None:
             self._residual_fn = compile_batch_predicate(
-                self.residual, self.index, use_compiler=flag)
-            self._fn_compiled = flag
+                self.residual, self.index)
         return self._residual_fn
 
     def next_batch(self) -> list | None:
@@ -565,8 +553,7 @@ class NestedLoopJoin(PhysicalOperator):
     condition TRUE)."""
 
     __slots__ = ("left", "right", "condition", "kind", "right_width",
-                 "index", "_right_rows", "_pred", "_pred_needs_ctx",
-                 "_pred_compiled")
+                 "index", "_right_rows", "_pred", "_pred_needs_ctx")
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  condition: Expr | None, kind: JoinKind, right_width: int,
@@ -581,7 +568,6 @@ class NestedLoopJoin(PhysicalOperator):
         self._right_rows: list[tuple] | None = None
         self._pred = None
         self._pred_needs_ctx = True
-        self._pred_compiled: bool | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
@@ -603,17 +589,9 @@ class NestedLoopJoin(PhysicalOperator):
             rows.extend(batch)
 
     def _predicate(self) -> RowCompiled:
-        flag = self.engine.compile_expressions
-        if self._pred is None or self._pred_compiled is not flag:
-            if flag:
-                self._pred, self._pred_needs_ctx = compile_row(
-                    self.condition, self.index)
-            else:
-                condition = self.condition
-                self._pred = (
-                    lambda row, ctx: evaluate(condition, ctx))
-                self._pred_needs_ctx = True
-            self._pred_compiled = flag
+        if self._pred is None:
+            self._pred, self._pred_needs_ctx = compile_row(
+                self.condition, self.index)
         return self._pred
 
     def next_batch(self) -> list | None:
@@ -679,7 +657,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
     __slots__ = ("left", "table", "alias", "right_names", "right_width",
                  "left_position", "right_column", "right_position",
                  "residual", "kind", "index", "_index_obj", "_fallback",
-                 "_residual_fn", "_fn_compiled")
+                 "_residual_fn")
 
     def __init__(self, left: PhysicalOperator, table: str, alias: str,
                  right_names: tuple[str, ...], left_position: int,
@@ -701,7 +679,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self._index_obj = None
         self._fallback: dict | None = None
         self._residual_fn = None
-        self._fn_compiled: bool | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left,)
@@ -743,11 +720,9 @@ class IndexNestedLoopJoin(PhysicalOperator):
     def _residual(self) -> BatchFilter | None:
         if self.residual is None:
             return None
-        flag = self.engine.compile_expressions
-        if self._residual_fn is None or self._fn_compiled is not flag:
+        if self._residual_fn is None:
             self._residual_fn = compile_batch_predicate(
-                self.residual, self.index, use_compiler=flag)
-            self._fn_compiled = flag
+                self.residual, self.index)
         return self._residual_fn
 
     def next_batch(self) -> list | None:
@@ -800,7 +775,7 @@ class HashAggregate(PhysicalOperator):
     batch-compiled and evaluated column-wise per input batch."""
 
     __slots__ = ("child", "group", "group_positions", "aggregates",
-                 "index", "_arg_fns", "_fn_compiled", "_result", "_pos")
+                 "index", "_arg_fns", "_result", "_pos")
 
     def __init__(self, child: PhysicalOperator, group: tuple[str, ...],
                  group_positions: tuple[int, ...], aggregates: tuple,
@@ -812,7 +787,6 @@ class HashAggregate(PhysicalOperator):
         self.aggregates = aggregates
         self.index = index
         self._arg_fns = None
-        self._fn_compiled: bool | None = None
         self._result: list[tuple] | None = None
         self._pos = 0
 
@@ -827,13 +801,11 @@ class HashAggregate(PhysicalOperator):
         self._result = None
 
     def _fns(self) -> list[BatchValues | None]:
-        flag = self.engine.compile_expressions
-        if self._arg_fns is None or self._fn_compiled is not flag:
+        if self._arg_fns is None:
             self._arg_fns = [
                 None if call.arg is None else compile_batch_values(
-                    call.arg, self.index, use_compiler=flag)
+                    call.arg, self.index)
                 for _, call in self.aggregates]
-            self._fn_compiled = flag
         return self._arg_fns
 
     def _make_accumulators(self) -> list:
@@ -976,6 +948,48 @@ class SetOperation(PhysicalOperator):
 # Ordering and limits
 # ---------------------------------------------------------------------------
 
+def sort_rows(rows: list[tuple], keys: Sequence[SortKey], frames: tuple,
+              index: dict[str, int], runner: Any, params: tuple) -> None:
+    """In-place multi-key sort with SQL NULL ordering (NULLs first
+    ascending, last descending); shared by both engines."""
+    for key in reversed(keys):
+        def eval_key(row: tuple, key=key):
+            return evaluate(
+                key.expr,
+                EvalContext((*frames, Frame(index, row)), runner, params))
+
+        if key.ascending:
+            rows.sort(key=lambda row, eval_key=eval_key: _asc_key(
+                eval_key(row)))
+        else:
+            rows.sort(key=lambda row, eval_key=eval_key: _desc_key(
+                eval_key(row)))
+
+
+def _asc_key(value: Any) -> tuple:
+    return (value is not None, value)
+
+
+class _DescWrapper:
+    """Inverts comparison order for DESC sort keys (NULLs sort last)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def __lt__(self, other: "_DescWrapper") -> bool:
+        if self.value is None:
+            return False          # NULL is never smaller: ends up last
+        if other.value is None:
+            return True
+        return self.value > other.value
+
+
+def _desc_key(value: Any) -> _DescWrapper:
+    return _DescWrapper(value)
+
+
 class SortNode(PhysicalOperator):
     """Blocking sort: drains the input, applies the shared multi-key SQL
     NULL-ordering sort, emits in batches."""
@@ -1003,7 +1017,6 @@ class SortNode(PhysicalOperator):
 
     def next_batch(self) -> list | None:
         if self._result is None:
-            from .materialize import sort_rows
             rows: list[tuple] = []
             while True:
                 batch = self.engine.pull(self.child)

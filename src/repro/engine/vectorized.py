@@ -19,17 +19,17 @@ to rows when it contains at least one compute node (filter / project /
 join / aggregate) — a bare columnar scan under a row operator would be
 pure transposition overhead, so the original row scan is kept instead.
 
-:class:`VectorizedEngine` is the pipelined engine with a vectorizing
-prepare step and a sink that transposes :class:`ColumnBatch` output; the
-Volcano ``open/next_batch/close`` protocol, the per-node statistics, and
-the sublink machinery are all inherited unchanged (sublink plans always
-stay on the row path — they run under outer frames, which vector kernels
-do not model).
+:class:`~repro.engine.executor.Executor` applies the rewrite as its
+prepare step under ``engine="vectorized"`` and its sink transposes
+:class:`ColumnBatch` output; the Volcano ``open/next_batch/close``
+protocol, the per-node statistics, and the sublink machinery are the
+row engine's, unchanged (sublink plans always stay on the row path —
+they run under outer frames, which vector kernels do not model).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from ..algebra.operators import JoinKind, SetOpKind
 from ..expressions.aggregates import make_accumulator
@@ -38,16 +38,14 @@ from ..expressions.compiler import (
     VectorPredicate, compile_vector_predicate, compile_vector_values,
 )
 from ..expressions.printer import format_expr
-from ..relation import Relation
 from .columnar import Column, ColumnBatch, column_from_values, table_columns
 from .physical import (
     Filter, HashAggregate, HashJoin, NestedLoopJoin, PhysicalOperator,
     PhysicalPlan, Project, SeqScan, SetOperation, SortNode,
-    StreamingLimit, ValuesScan,
+    StreamingLimit, ValuesScan, _asc_key, _desc_key,
 )
-from .pipeline import PipelineEngine
 
-__all__ = ["VectorizedEngine", "vectorize_plan"]
+__all__ = ["vectorize_plan"]
 
 
 class VectorOperator(PhysicalOperator):
@@ -785,7 +783,6 @@ class VSort(VectorOperator):
         self._order = []
 
     def _collect(self) -> None:
-        from .materialize import _asc_key, _desc_key
         engine = self.engine
         values: list[list] | None = None
         kinds: list[str | None] = []
@@ -1170,56 +1167,3 @@ def vectorize_plan(plan: PhysicalPlan) -> PhysicalPlan:
     plan.vector_counts = (columnar, fallback)
     plan.vectorized = True
     return plan
-
-
-# ---------------------------------------------------------------------------
-# Engine
-# ---------------------------------------------------------------------------
-
-class VectorizedEngine(PipelineEngine):
-    """The pipelined engine with a vectorizing prepare step.
-
-    Plans are vectorized lazily on first execution (the session layer's
-    plan-instance leasing makes the in-place rewrite safe — an instance
-    is never shared between concurrent executions, and the plan-cache key
-    includes the engine name so row engines never see a vectorized
-    instance).  The sink accepts both batch formats, so row-fallback
-    plans — and sublink subplans, which always stay on rows — run
-    unchanged.
-    """
-
-    engine_name = "vectorized"
-
-    def _prepare(self, plan: PhysicalPlan) -> None:
-        if not plan.vectorized:
-            vectorize_plan(plan)
-        if plan.vector_counts is not None:
-            self.stats.vectorized_nodes, self.stats.row_fallback_nodes = \
-                plan.vector_counts
-
-    def execute_physical(self, plan: PhysicalPlan,
-                         params: Iterable[Any] = ()) -> Relation:
-        self._prepare(plan)
-        return super().execute_physical(plan, params)
-
-    def stream_physical(self, plan: PhysicalPlan,
-                        params: Iterable[Any] = ()
-                        ) -> Iterator[list[tuple]]:
-        self._prepare(plan)
-        return super().stream_physical(plan, params)
-
-    def _drain(self, root: PhysicalOperator, frames: tuple) -> list[tuple]:
-        root.open(self, frames)
-        rows: list[tuple] = []
-        try:
-            while True:
-                batch = self.pull(root)
-                if batch is None:
-                    break
-                if isinstance(batch, ColumnBatch):
-                    rows.extend(batch.to_rows())
-                else:
-                    rows.extend(batch)
-        finally:
-            root.close()
-        return rows

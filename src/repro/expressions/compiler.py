@@ -16,7 +16,8 @@ against each other on random expressions.
 Two compilation surfaces:
 
 * :func:`compile_expr` — per-row closure over an :class:`EvalContext`
-  (the materializing engine's path).
+  (the reference compiler the row compiler falls back to for stateful
+  or rare shapes: sublinks, outer columns, CASE, LIKE, casts, calls).
 * the **batch compilers** (:func:`compile_batch_predicate`,
   :func:`compile_batch_projector`, :func:`compile_batch_values`) — used by
   the pipelined engine: one call evaluates a whole row batch.  When the
@@ -365,27 +366,13 @@ def _batch_state(index: dict[str, int]):
     return make
 
 
-def compile_batch_predicate(expr: Expr, index: dict[str, int],
-                            use_compiler: bool = True) -> BatchFilter:
+def compile_batch_predicate(expr: Expr,
+                            index: dict[str, int]) -> BatchFilter:
     """A ``(rows, frames, runner, params) -> surviving rows`` filter.
 
     WHERE semantics: a row survives iff the predicate is definitely true.
-    With ``use_compiler=False`` the tree-walking evaluator runs per row
-    (the ablation configuration).
     """
     make_state = _batch_state(index)
-    if not use_compiler:
-        def interpret(rows, frames, runner, params):
-            from .evaluator import evaluate
-            frame, ctx = make_state(frames, runner, params)
-            out = []
-            for row in rows:
-                frame.row = row
-                if is_true(evaluate(expr, ctx)):
-                    out.append(row)
-            return out
-        return interpret
-
     fn, needs_ctx = compile_row(expr, index)
     if not needs_ctx:
         def run_free(rows, frames, runner, params):
@@ -403,8 +390,8 @@ def compile_batch_predicate(expr: Expr, index: dict[str, int],
     return run
 
 
-def compile_batch_projector(exprs: Sequence[Expr], index: dict[str, int],
-                            use_compiler: bool = True) -> BatchProjector:
+def compile_batch_projector(exprs: Sequence[Expr],
+                            index: dict[str, int]) -> BatchProjector:
     """A ``(rows, frames, runner, params) -> list of output tuples``
     projector evaluating all items of a projection in one pass.
 
@@ -413,7 +400,7 @@ def compile_batch_projector(exprs: Sequence[Expr], index: dict[str, int],
     ``itemgetter`` — and an identity projection passes batches through
     untouched.
     """
-    if use_compiler and exprs and all(
+    if exprs and all(
             isinstance(e, Col) and e.level == 0 and e.name in index
             for e in exprs):
         positions = tuple(index[e.name] for e in exprs)
@@ -429,17 +416,6 @@ def compile_batch_projector(exprs: Sequence[Expr], index: dict[str, int],
             [getter(row) for row in rows]
 
     make_state = _batch_state(index)
-    if not use_compiler:
-        def interpret(rows, frames, runner, params):
-            from .evaluator import evaluate
-            frame, ctx = make_state(frames, runner, params)
-            out = []
-            for row in rows:
-                frame.row = row
-                out.append(tuple(evaluate(e, ctx) for e in exprs))
-            return out
-        return interpret
-
     compiled = [compile_row(expr, index) for expr in exprs]
     fns = [fn for fn, _ in compiled]
     if not any(flag for _, flag in compiled):
@@ -457,22 +433,11 @@ def compile_batch_projector(exprs: Sequence[Expr], index: dict[str, int],
     return run
 
 
-def compile_batch_values(expr: Expr, index: dict[str, int],
-                         use_compiler: bool = True) -> BatchValues:
+def compile_batch_values(expr: Expr,
+                         index: dict[str, int]) -> BatchValues:
     """A ``(rows, frames, runner, params) -> list of values`` evaluator
     (one value per input row) for aggregate arguments and similar."""
     make_state = _batch_state(index)
-    if not use_compiler:
-        def interpret(rows, frames, runner, params):
-            from .evaluator import evaluate
-            frame, ctx = make_state(frames, runner, params)
-            out = []
-            for row in rows:
-                frame.row = row
-                out.append(evaluate(expr, ctx))
-            return out
-        return interpret
-
     fn, needs_ctx = compile_row(expr, index)
     if not needs_ctx:
         def run_free(rows, frames, runner, params):

@@ -1,4 +1,4 @@
-"""CSV import/export for :class:`~repro.db.Database`.
+"""CSV import/export for a :class:`~repro.api.Connection`.
 
 Values are parsed according to the table's declared column types
 (``SQLType``); empty fields become NULL.  Provenance results export like
@@ -13,8 +13,8 @@ import io
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
+from .api import Connection
 from .datatypes import SQLType
-from .db import Database
 from .errors import ReproError
 from .relation import Relation
 
@@ -50,7 +50,7 @@ def _infer_type(values: list[str]) -> SQLType:
     return SQLType.TEXT
 
 
-def load_csv(db: Database, table: str, source: str | Path | TextIO,
+def load_csv(conn: Connection, table: str, source: str | Path | TextIO,
              create: bool = True, header: bool = True) -> int:
     """Load CSV data into *table*; returns the number of rows inserted.
 
@@ -78,14 +78,14 @@ def load_csv(db: Database, table: str, source: str | Path | TextIO,
     else:
         names = [f"col{i + 1}" for i in range(len(rows[0]))]
         data = rows
-    if table.lower() not in db.catalog:
+    if table.lower() not in conn.catalog:
         if not create:
             raise ReproError(f"table {table!r} does not exist")
         types = [
             _infer_type([row[i] for row in data if i < len(row)])
             for i in range(len(names))]
-        db.create_table(table, list(zip(names, (t.value for t in types))))
-    stored = db.catalog.get(table)
+        conn.create_table(table, list(zip(names, (t.value for t in types))))
+    stored = conn.catalog.get(table)
     if len(stored.schema) != len(names):
         raise ReproError(
             f"CSV has {len(names)} columns but table {table!r} has "
@@ -95,7 +95,7 @@ def load_csv(db: Database, table: str, source: str | Path | TextIO,
         tuple(_parse_value(value, type_)
               for value, type_ in zip(row, types))
         for row in data]
-    return db.insert(table, parsed)
+    return conn.insert(table, parsed)
 
 
 def dump_csv(relation: Relation, target: str | Path | TextIO | None = None,

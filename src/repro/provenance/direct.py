@@ -103,7 +103,7 @@ class DirectProvenanceExecutor:
             plain = Relation(op.input.schema,
                              [row for row, _ in rows])
             # evaluate keys over the visible part, stable-sorting pairs
-            from ..engine.materialize import _desc_key
+            from ..engine.physical import _desc_key
             names = op.input.schema.names
             for key in reversed(op.keys):
                 def sort_value(pair, key=key):

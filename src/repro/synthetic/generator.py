@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..db import Database
+from ..api import Connection
 
 #: Standard deviation multiplier from the paper.
 B_STDDEV_PER_ROW = 100
@@ -49,11 +49,11 @@ def synthetic_rows(size: int, seed: int) -> list[tuple[int, int]]:
     return rows
 
 
-def load_synthetic(config: SyntheticConfig) -> Database:
-    """A database with tables ``r1`` and ``r2`` per *config*."""
-    db = Database()
-    db.create_table("r1", [("a", "int"), ("b", "int")])
-    db.create_table("r2", [("a", "int"), ("b", "int")])
-    db.insert("r1", synthetic_rows(config.input_size, config.seed))
-    db.insert("r2", synthetic_rows(config.sublink_size, config.seed + 1))
-    return db
+def load_synthetic(config: SyntheticConfig) -> Connection:
+    """A session over tables ``r1`` and ``r2`` per *config*."""
+    conn = Connection()
+    conn.create_table("r1", [("a", "int"), ("b", "int")])
+    conn.create_table("r2", [("a", "int"), ("b", "int")])
+    conn.insert("r1", synthetic_rows(config.input_size, config.seed))
+    conn.insert("r2", synthetic_rows(config.sublink_size, config.seed + 1))
+    return conn

@@ -24,7 +24,7 @@ import random
 from datetime import date, timedelta
 from typing import Iterator
 
-from ..db import Database
+from ..api import Connection
 from .schema import create_tpch_tables
 
 _REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
@@ -256,22 +256,22 @@ class TPCHGenerator:
 
     # -- loading -----------------------------------------------------------------
 
-    def populate(self, db: Database) -> None:
-        """Create and fill all eight tables in *db*."""
-        create_tpch_tables(db)
-        db.insert("region", self.regions())
-        db.insert("nation", self.nations())
-        db.insert("supplier", self.suppliers())
-        db.insert("part", self.parts())
-        db.insert("partsupp", self.partsupps())
-        db.insert("customer", self.customers())
+    def populate(self, conn: Connection) -> None:
+        """Create and fill all eight tables through *conn*."""
+        create_tpch_tables(conn)
+        conn.insert("region", self.regions())
+        conn.insert("nation", self.nations())
+        conn.insert("supplier", self.suppliers())
+        conn.insert("part", self.parts())
+        conn.insert("partsupp", self.partsupps())
+        conn.insert("customer", self.customers())
         orders, lineitems = self.orders_and_lineitems()
-        db.insert("orders", orders)
-        db.insert("lineitem", lineitems)
+        conn.insert("orders", orders)
+        conn.insert("lineitem", lineitems)
 
 
-def load_tpch(scale: float = 0.001, seed: int = 0) -> Database:
-    """A fresh :class:`Database` populated with a TPC-H instance."""
-    db = Database()
-    TPCHGenerator(scale, seed).populate(db)
-    return db
+def load_tpch(scale: float = 0.001, seed: int = 0) -> Connection:
+    """A fresh session populated with a TPC-H instance."""
+    conn = Connection()
+    TPCHGenerator(scale, seed).populate(conn)
+    return conn

@@ -21,7 +21,6 @@ import random
 from datetime import date, timedelta
 
 from ..api import Connection
-from ..db import Database
 
 PAPER_SUBLINK_QUERIES = (2, 4, 11, 15, 16, 17, 20, 21, 22)
 UNCORRELATED_QUERIES = (11, 15, 16)
@@ -43,16 +42,13 @@ def _iso(day: date) -> str:
     return day.isoformat()
 
 
-def install_views(db: "Database | Connection",
+def install_views(conn: Connection,
                   rng: random.Random | None = None) -> None:
-    """Create the ``revenue`` view required by Q15.
-
-    Accepts either the legacy :class:`~repro.db.Database` facade or a
-    :class:`~repro.api.Connection` (both expose ``create_view``)."""
+    """Create the ``revenue`` view required by Q15."""
     rng = rng or random.Random(15)
     start = date(1993, 1, 1) + timedelta(days=30 * rng.randint(0, 60))
     end = start + timedelta(days=90)
-    db.create_view("revenue", f"""
+    conn.create_view("revenue", f"""
         SELECT l_suppkey AS supplier_no,
                sum(l_extendedprice * (1 - l_discount)) AS total_revenue
         FROM lineitem

@@ -7,7 +7,7 @@ so the query templates read exactly like the published ones.
 
 from __future__ import annotations
 
-from ..db import Database
+from ..api import Connection
 
 TPCH_SCHEMAS: dict[str, list[tuple[str, str]]] = {
     "region": [
@@ -90,7 +90,7 @@ TPCH_SCHEMAS: dict[str, list[tuple[str, str]]] = {
 }
 
 
-def create_tpch_tables(db: Database) -> None:
-    """Create all eight (empty) TPC-H tables in *db*."""
+def create_tpch_tables(conn: Connection) -> None:
+    """Create all eight (empty) TPC-H tables through *conn*."""
     for table, columns in TPCH_SCHEMAS.items():
-        db.create_table(table, columns)
+        conn.create_table(table, columns)

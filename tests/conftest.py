@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Connection, connect
 from repro.catalog import Catalog
 from repro.schema import Schema
 
 
 @pytest.fixture
-def figure3_db() -> Database:
+def figure3_db() -> Connection:
     """The relations R and S from the paper's Figure 3."""
-    db = Database()
+    db = connect()
     db.execute("CREATE TABLE r (a int, b int)")
     db.execute("INSERT INTO r VALUES (1, 1), (2, 1), (3, 2)")
     db.execute("CREATE TABLE s (c int, d int)")
@@ -26,10 +26,10 @@ def figure3_catalog(figure3_db) -> Catalog:
 
 
 @pytest.fixture
-def section25_db() -> Database:
+def section25_db() -> Connection:
     """Relations of the Section 2.5 multiple-sublink ambiguity example:
     R = {(1)..(100)} (scaled down to 1..10), S = {(1),(5)}, U = {(5)}."""
-    db = Database()
+    db = connect()
     db.execute("CREATE TABLE r (b int)")
     db.insert("r", [(i,) for i in range(1, 11)])
     db.execute("CREATE TABLE s (c int)")
@@ -40,10 +40,10 @@ def section25_db() -> Database:
 
 
 @pytest.fixture
-def qex_db() -> Database:
+def qex_db() -> Connection:
     """Relations of the Section 3.1 representation example:
     R = {(1,2),(3,4)} schema (a,b); S = {(2),(5)} schema (c)."""
-    db = Database()
+    db = connect()
     db.execute("CREATE TABLE r (a int, b int)")
     db.execute("INSERT INTO r VALUES (1, 2), (3, 4)")
     db.execute("CREATE TABLE s (c int)")
@@ -56,7 +56,7 @@ GENERAL_STRATEGIES = ("gen", "left", "move", "auto")
 UNCORRELATED_STRATEGIES = ("gen", "left", "move")
 
 
-def rows_of(db: Database, sql: str, strategy: str | None = None):
+def rows_of(db: Connection, sql: str, strategy: str | None = None):
     """Sorted result rows of a query (test helper)."""
     relation = db.sql(sql, strategy=strategy)
     return sorted(relation.rows, key=_null_safe_key)

@@ -1,16 +1,23 @@
-"""The materializing, correlation-aware reference engine.
+"""The materializing, correlation-aware oracle interpreter.
 
 This is the original executor: it interprets the *logical* algebra tree
-directly and materializes each operator's full output as a list of row
-tuples.  It is kept (selectable via ``SessionConfig.engine =
-"materializing"``) as
+directly, materializes each operator's full output as a list of row
+tuples and evaluates every expression with the tree-walking reference
+evaluator (:func:`repro.expressions.evaluator.evaluate`).  It left the
+product — no session can select it — and lives here as the differential
+reference the engine-parity matrices compare the batch engines against:
+it shares neither the physical operators, the lowering, nor the
+expression compiler with them, which is exactly what makes agreement
+meaningful.  It is valuable *because* it is naive; do not optimize it.
 
-* the baseline the pipelined engine is benchmarked against
-  (``python -m repro.bench --smoke`` reports the engine speedup), and
-* the reference implementation the engine-parity tests compare the
-  pipelined results to.
+Use ``oracle`` to get a ``sql()``-shaped front end over a catalog::
 
-Design notes relevant to reproducing the paper's performance results:
+    fast = connect()
+    ...populate...
+    slow = oracle(fast.catalog)
+    assert Counter(fast.sql(q).rows) == Counter(slow.sql(q).rows)
+
+Design notes (the behaviours the batch engines must reproduce):
 
 * **Uncorrelated sublinks are evaluated once** per engine instance and
   cached by operator identity — PostgreSQL's *InitPlan* behaviour, which
@@ -29,53 +36,67 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-from ..catalog import Catalog
-from ..datatypes import is_true
-from ..errors import ExecutionError
-from ..expressions.ast import Expr, TRUE
-from ..expressions.evaluator import EvalContext, Frame, evaluate
-from ..algebra.operators import (
+from repro import connect
+from repro.catalog import Catalog
+from repro.datatypes import is_true
+from repro.errors import ExecutionError
+from repro.expressions.ast import Expr, TRUE
+from repro.expressions.evaluator import EvalContext, Frame, evaluate
+from repro.algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
-    Select, SetOp, SetOpKind, Sort, SortKey, Values,
+    Select, SetOp, SetOpKind, Sort, Values,
 )
-from ..algebra.properties import is_correlated
-from ..expressions.aggregates import make_accumulator
-from ..relation import Relation
-from .lowering import split_equi_keys
-from .stats import ExecutionStats
+from repro.algebra.properties import is_correlated
+from repro.engine.lowering import split_equi_keys
+from repro.engine.optimizer import optimize
+from repro.engine.physical import sort_rows
+from repro.engine.stats import ExecutionStats
+from repro.expressions.aggregates import make_accumulator
+from repro.relation import Relation
 
 Frames = tuple[Frame, ...]
 
 
-class MaterializingEngine:
+class OracleSession:
+    """The ``sql()`` surface of a session, run on the interpreter: plans
+    like a :class:`~repro.api.Connection` over *catalog* (analyze →
+    rewrite → optimize, honouring the same config *options*), then
+    interprets the logical plan instead of lowering it."""
+
+    def __init__(self, catalog: Catalog, **options: Any) -> None:
+        self._planner = connect(catalog=catalog, **options)
+        self.last_stats: ExecutionStats | None = None
+
+    def sql(self, text: str, strategy: str | None = None,
+            params: Sequence[Any] = ()) -> Relation:
+        plan = self._planner.plan(text, strategy)
+        catalog = self._planner.engine.snapshot()
+        if self._planner.config.optimize:
+            plan = optimize(plan, catalog)
+        engine = OracleEngine(catalog)
+        self.last_stats = engine.stats
+        return engine.execute(plan, params)
+
+
+#: ``oracle(conn.catalog)`` — how the parity matrices spell it.
+oracle = OracleSession
+
+
+class OracleEngine:
     """Evaluates one logical algebra tree, fully materializing every
     operator's output; create a fresh instance per statement."""
 
-    def __init__(self, catalog: Catalog, compile_expressions: bool,
-                 collect_stats: bool, stats: ExecutionStats,
-                 compiled_cache: dict[int, Any] | None = None) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.compile_expressions = compile_expressions
-        self.collect_stats = collect_stats
-        self.stats = stats
+        self.stats = ExecutionStats()
         self._params: tuple = ()
         self._subquery_cache: dict[int, list[tuple]] = {}
         self._correlated: dict[int, bool] = {}
-        self._compiled: dict[int, Any] = \
-            compiled_cache if compiled_cache is not None else {}
 
-    def _evaluator(self, expr: Expr) -> "Callable[[dict], Any]":
-        """A callable ctx -> value for *expr*: compiled (cached by node
-        identity) or the tree-walking interpreter per the ablation flag."""
-        if not self.compile_expressions:
-            return lambda ctx, expr=expr: evaluate(expr, ctx)
-        key = id(expr)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            from ..expressions.compiler import compile_expr
-            compiled = compile_expr(expr)
-            self._compiled[key] = compiled
-        return compiled
+    def _evaluator(self, expr: Expr) -> "Callable[[EvalContext], Any]":
+        """A callable ctx -> value for *expr* (the reference
+        tree-walking evaluator — deliberately not the compiler)."""
+        return lambda ctx: evaluate(expr, ctx)
 
     # -- public API ----------------------------------------------------------
 
@@ -115,8 +136,7 @@ class MaterializingEngine:
     # -- evaluation ------------------------------------------------------------
 
     def _eval(self, op: Operator, frames: Frames) -> list[tuple]:
-        if self.collect_stats:
-            self.stats.bump(op)
+        self.stats.bump(op)
         if isinstance(op, BaseRelation):
             rows = self.catalog.get(op.table).rows
         elif isinstance(op, Values):
@@ -298,45 +318,3 @@ class MaterializingEngine:
         index = Frame.index_for(op.input.schema.names)
         sort_rows(rows, op.keys, frames, index, self, self._params)
         return rows
-
-
-def sort_rows(rows: list[tuple], keys: Sequence[SortKey], frames: Frames,
-              index: dict[str, int], runner: Any, params: tuple) -> None:
-    """In-place multi-key sort with SQL NULL ordering (NULLs first
-    ascending, last descending); shared by both engines."""
-    for key in reversed(keys):
-        def eval_key(row: tuple, key=key):
-            return evaluate(
-                key.expr,
-                EvalContext((*frames, Frame(index, row)), runner, params))
-
-        if key.ascending:
-            rows.sort(key=lambda row, eval_key=eval_key: _asc_key(
-                eval_key(row)))
-        else:
-            rows.sort(key=lambda row, eval_key=eval_key: _desc_key(
-                eval_key(row)))
-
-
-def _asc_key(value: Any) -> tuple:
-    return (value is not None, value)
-
-
-class _DescWrapper:
-    """Inverts comparison order for DESC sort keys (NULLs sort last)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_DescWrapper") -> bool:
-        if self.value is None:
-            return False          # NULL is never smaller: ends up last
-        if other.value is None:
-            return True
-        return self.value > other.value
-
-
-def _desc_key(value: Any) -> _DescWrapper:
-    return _DescWrapper(value)

@@ -50,8 +50,8 @@ def rule_ids(violations):
 class TestRegistry:
     def test_all_families_registered(self):
         assert available_rules() == (
-            "exhaustiveness", "hygiene", "lock-discipline", "purity",
-            "typing")
+            "config-knobs", "exhaustiveness", "hygiene", "lock-discipline",
+            "purity", "typing")
 
     def test_unknown_rule_family_is_an_interface_error(self, tmp_path):
         from repro.errors import InterfaceError
@@ -569,6 +569,54 @@ _BAD_PACKAGE = {"engine/exec.py": """
     def run(plan):
         return plan
 """}
+
+
+class TestConfigKnobs:
+    CONFIG = """
+        from dataclasses import dataclass
+
+        @dataclass
+        class SessionConfig:
+            used: int = 1
+            dead: int = 2        # read by nothing
+            untested: int = 3    # read, but no test names it
+    """
+    READER = """
+        def run(config) -> int:
+            return config.used + config.untested
+    """
+
+    def _fixture(self, tmp_path, test_source):
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "test_knobs.py").write_text(dedent(test_source))
+        return write_fixture(tmp_path, {
+            "api/config.py": self.CONFIG, "engine/run.py": self.READER})
+
+    def test_unread_and_untested_knobs_flagged(self, tmp_path):
+        root = self._fixture(tmp_path, """
+            def test_knobs():
+                assert make(used=1, dead=2)
+        """)
+        found = findings(root, rules=["config-knobs"])
+        assert [(v.rule, v.symbol.rpartition(".")[2]) for v in found] == [
+            ("config-knobs-unread", "dead"),
+            ("config-knobs-untested", "untested")]
+
+    def test_naming_a_knob_in_a_test_clears_untested_only(self, tmp_path):
+        root = self._fixture(tmp_path, """
+            def test_knobs():
+                assert make(used=1, untested=3).dead
+        """)
+        found = findings(root, rules=["config-knobs"])
+        assert [v.rule for v in found] == ["config-knobs-unread"]
+
+    def test_without_a_tests_directory_every_knob_is_untested(
+            self, tmp_path):
+        root = write_fixture(tmp_path, {
+            "api/config.py": self.CONFIG, "engine/run.py": self.READER})
+        found = findings(root, rules=["config-knobs"])
+        assert sum(v.rule == "config-knobs-untested" for v in found) == 3
 
 
 class TestBaseline:

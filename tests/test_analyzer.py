@@ -3,7 +3,6 @@ normalization, views, error reporting."""
 
 import pytest
 
-from repro import Database
 from repro.errors import AnalyzerError
 from repro.expressions.ast import Col, Sublink
 from repro.algebra.operators import (

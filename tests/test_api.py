@@ -1,12 +1,12 @@
 """The session API: Connection / Cursor / PreparedStatement, parameter
-binding, and the legacy Database shim."""
+binding, and the one-shot helpers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import (
-    AnalyzerError, BindError, Connection, Database, InterfaceError,
+    AnalyzerError, BindError, Connection, InterfaceError,
     Relation, SessionConfig, SQLSyntaxError, connect,
 )
 
@@ -211,13 +211,6 @@ class TestConnectionHelpers:
         changed = config.with_options(optimize=False)
         assert changed.optimize is False and config.optimize is True
 
-    def test_one_shot_helpers_match_database(self, conn):
-        sql = "SELECT PROVENANCE * FROM r WHERE a = ANY (SELECT c FROM s)"
-        db = Database(conn)
-        assert sorted(conn.sql(sql).rows) == sorted(db.sql(sql).rows)
-        assert conn.explain("SELECT a FROM r") == \
-            db.explain("SELECT a FROM r")
-
     def test_default_strategy_applies_to_bare_provenance(self):
         connection = connect(default_strategy="unn")
         cur = connection.cursor()
@@ -256,43 +249,17 @@ class TestConnectionHelpers:
         assert planner._forced is not None
 
 
-class TestDatabaseShim:
-    def test_shim_shares_catalog_with_connection(self, conn):
-        db = Database(conn)
-        db.execute("CREATE TABLE shared (x int)")
-        assert "shared" in conn.catalog
-        assert conn.execute("SELECT * FROM shared").rows == []
-
+class TestOneShotHelpers:
     def test_views_live_in_catalog(self):
-        db = Database()
+        db = connect()
         db.create_view("v", "SELECT 1 AS x")
-        assert "v" in db.views
-        assert db.connection.catalog.has_view("v")
+        assert db.catalog.has_view("v")
         db.execute("DROP VIEW v")
-        assert "v" not in db.views
-
-    def test_direct_views_mutation_bumps_catalog_version(self):
-        from repro.sql.parser import parse_statement
-        db = Database()
-        db.execute("CREATE TABLE r (a int)")
-        db.execute("INSERT INTO r VALUES (1), (2)")
-        conn = db.connection
-        # legacy idiom: assign into db.views directly
-        db.views["v"] = parse_statement("SELECT a FROM r")
-        cur = conn.cursor()
-        cur.execute("SELECT a FROM v")
-        assert cur.rowcount == 2
-        db.views["v"] = parse_statement("SELECT a FROM r WHERE a = 1")
-        cur.execute("SELECT a FROM v")   # cached plan must be stale now
-        assert cur.fetchall() == [(1,)]
-        del db.views["v"]
-        assert not conn.catalog.has_view("v")
-        with pytest.raises(KeyError):
-            del db.views["v"]
+        assert not db.catalog.has_view("v")
 
     def test_sql_does_not_mutate_parsed_statement(self):
         from repro.sql.parser import parse_statement
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE r (a int)")
         db.execute("INSERT INTO r VALUES (1), (2)")
         statement = parse_statement("SELECT PROVENANCE a FROM r")
@@ -306,28 +273,28 @@ class TestDatabaseShim:
         assert first.schema.names == second.schema.names
 
     def test_plan_is_repeatable(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE r (a int)")
         one = db.explain("SELECT PROVENANCE a FROM r")
         two = db.explain("SELECT PROVENANCE a FROM r")
         assert one == two and "prov_r_a" in one
 
     def test_strategy_override_still_works(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE r (a int)")
         db.execute("INSERT INTO r VALUES (1)")
         rows = db.sql("SELECT a FROM r", strategy="gen").rows
         assert rows == [(1, 1)]  # provenance column appended
 
     def test_delete_uses_public_analyzer_entry_point(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int, y int)")
         db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
         db.execute("DELETE FROM t WHERE x >= 2 AND y < 30")
         assert sorted(db.sql("SELECT x FROM t").rows) == [(1,), (3,)]
 
     def test_delete_with_qualified_column(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("INSERT INTO t VALUES (1), (2)")
         db.execute("DELETE FROM t WHERE t.x = 2")

@@ -56,6 +56,28 @@ class TestQueryTimers:
         assert prov.rows == 2
 
 
+class TestEngineGrid:
+    def test_cell_times_the_two_product_engines(self, figure3_db):
+        from repro.bench.engines import (
+            EngineBenchResult, _time_cell, format_engine_bench,
+        )
+        from repro.engine import ENGINES
+        assert ENGINES == ("pipelined", "vectorized")
+        sql = ("SELECT PROVENANCE a FROM r WHERE a = ANY "
+               "(SELECT c FROM s)")
+        cell = _time_cell(figure3_db.catalog, sql, "left", 1,
+                          "figX", "q1", "tiny")
+        assert set(cell.seconds) == set(ENGINES)
+        assert cell.rows == 2
+        result = EngineBenchResult(repeats=1, cells=[cell])
+        report = result.to_dict()
+        assert report["engines"] == list(ENGINES)
+        assert report["parity"] == "bit-identical"
+        header = format_engine_bench(result).splitlines()[0]
+        assert "pipe ms" in header and "vec ms" in header
+        assert "mat ms" not in header
+
+
 class TestFigureDrivers:
     def test_synthetic_driver_rows(self):
         rows = _run_synthetic(

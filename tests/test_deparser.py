@@ -3,7 +3,6 @@ the dialect allows (uncorrelated plans)."""
 
 import pytest
 
-from repro import Database
 from repro.sql.deparser import deparse, deparse_expr
 from repro.sql.parser import parse_statement
 from repro.expressions.ast import (

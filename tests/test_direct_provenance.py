@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
+from repro import connect, Connection
 from repro.provenance.direct import direct_provenance
 
 
-def compare_paths(db: Database, sql: str, strategy: str = "gen"):
+def compare_paths(db: Connection, sql: str, strategy: str = "gen"):
     """Rewrite-based and direct provenance must agree exactly."""
     plan = db.plan(sql)
     direct = direct_provenance(db.catalog, plan)
@@ -124,7 +124,7 @@ ops = st.sampled_from(["=", "<", ">="])
 @given(rows_st, rows_st, shapes, ops)
 def test_direct_matches_rewrite_on_random_databases(r_rows, s_rows,
                                                     shape, op):
-    db = Database()
+    db = connect()
     db.execute("CREATE TABLE r (a int, b int)")
     db.insert("r", r_rows)
     db.execute("CREATE TABLE s (c int, d int)")

@@ -1,39 +1,39 @@
-"""End-to-end Database facade scenarios (DDL/DML, scripts, explain)."""
+"""End-to-end session scenarios (DDL/DML, scripts, explain)."""
 
 import pytest
 
-from repro import AnalyzerError, Database
+from repro import AnalyzerError, connect
 
 
 class TestDDLDML:
     def test_create_insert_select(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int, name text)")
         db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
         assert db.sql("SELECT name FROM t WHERE x = 2").rows == [("two",)]
 
     def test_insert_expressions(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("INSERT INTO t VALUES (1 + 2), (-4)")
         assert sorted(db.sql("SELECT x FROM t").rows) == [(-4,), (3,)]
 
     def test_delete_with_predicate(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("INSERT INTO t VALUES (1), (2), (3)")
         db.execute("DELETE FROM t WHERE x >= 2")
         assert db.sql("SELECT x FROM t").rows == [(1,)]
 
     def test_delete_all(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("DELETE FROM t")
         assert db.sql("SELECT x FROM t").rows == []
 
     def test_drop_table_and_view(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("CREATE VIEW v AS SELECT x FROM t")
         db.execute("DROP VIEW v")
@@ -42,10 +42,10 @@ class TestDDLDML:
 
     def test_drop_missing_view_raises(self):
         with pytest.raises(AnalyzerError):
-            Database().execute("DROP VIEW ghost")
+            connect().execute("DROP VIEW ghost")
 
     def test_execute_script(self):
-        db = Database()
+        db = connect()
         db.execute_script("""
             CREATE TABLE t (x int);
             INSERT INTO t VALUES (1), (2);
@@ -55,13 +55,13 @@ class TestDDLDML:
             (2,), (4,)]
 
     def test_programmatic_api(self):
-        db = Database()
+        db = connect()
         db.create_table("t", [("x", "int"), ("y", "text")])
         inserted = db.insert("t", [(1, "a"), (2, "b")])
         assert inserted == 2
 
     def test_sql_rejects_non_select(self):
-        db = Database()
+        db = connect()
         with pytest.raises(AnalyzerError):
             db.sql("CREATE TABLE t (x int)")
 
@@ -97,7 +97,7 @@ class TestQuickstartScenario:
     """The README quickstart, verified end to end."""
 
     def test_quickstart(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE r (a int, b int)")
         db.execute("INSERT INTO r VALUES (1, 1), (2, 1), (3, 2)")
         db.execute("CREATE TABLE s (c int, d int)")
@@ -119,7 +119,7 @@ class TestErrorTraceability:
     to its source tuple via provenance."""
 
     def test_trace_bad_tuple(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE measurements (sensor int, value float)")
         db.execute("INSERT INTO measurements VALUES "
                    "(1, 10.0), (1, 12.0), (2, 999999.0), (2, 11.0)")

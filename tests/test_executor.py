@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 from repro.errors import ExecutionError
 from repro.algebra.operators import (
     Join, JoinKind, Values,

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro import Database
+from repro import connect
 from repro.cli import Shell
 from repro.errors import ReproError
 from repro.io import dump_csv, load_csv
@@ -12,7 +12,7 @@ from repro.io import dump_csv, load_csv
 
 class TestCSV:
     def test_load_with_type_inference(self):
-        db = Database()
+        db = connect()
         source = io.StringIO("a,b,name\n1,2.5,x\n2,,y\n")
         inserted = load_csv(db, "t", source)
         assert inserted == 2
@@ -20,32 +20,32 @@ class TestCSV:
             (1, 2.5, "x"), (2, None, "y")]
 
     def test_load_into_existing_table(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (a int, name text)")
         load_csv(db, "t", io.StringIO("a,name\n7,z\n"))
         assert db.sql("SELECT * FROM t").rows == [(7, "z")]
 
     def test_load_without_header(self):
-        db = Database()
+        db = connect()
         load_csv(db, "t", io.StringIO("1,x\n2,y\n"), header=False)
         assert db.sql("SELECT col1 FROM t ORDER BY col1").rows == [
             (1,), (2,)]
 
     def test_column_mismatch_raises(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (a int)")
         with pytest.raises(ReproError, match="columns"):
             load_csv(db, "t", io.StringIO("a,b\n1,2\n"))
 
     def test_missing_table_without_create_raises(self):
-        db = Database()
+        db = connect()
         with pytest.raises(ReproError, match="does not exist"):
             load_csv(db, "t", io.StringIO("a\n1\n"), create=False)
 
     def test_roundtrip_with_nulls(self, figure3_db):
         text = dump_csv(figure3_db.sql(
             "SELECT a, (SELECT c FROM s WHERE c > 99) AS v FROM r"))
-        db2 = Database()
+        db2 = connect()
         load_csv(db2, "t", io.StringIO(text))
         assert db2.sql("SELECT v FROM t").rows == [
             (None,), (None,), (None,)]
@@ -59,7 +59,7 @@ class TestCSV:
     def test_file_roundtrip(self, tmp_path, figure3_db):
         path = tmp_path / "out.csv"
         dump_csv(figure3_db.sql("SELECT a FROM r"), path)
-        db2 = Database()
+        db2 = connect()
         assert load_csv(db2, "t", path) == 3
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 from repro.catalog import Catalog
 from repro.engine import Executor
 from repro.engine.optimizer import optimize, scope_column_names

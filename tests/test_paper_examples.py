@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database
+from repro import connect
 
 
 class TestSection21Examples:
@@ -11,7 +11,7 @@ class TestSection21Examples:
 
     @pytest.fixture
     def db(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE r (a int, b int)")
         db.execute("INSERT INTO r VALUES (1, 3), (2, 2), (3, 6)")
         return db
@@ -64,7 +64,7 @@ class TestSection36Examples:
 
     @pytest.fixture
     def db(self):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE r (a int, b int)")
         db.execute("INSERT INTO r VALUES (1, 1), (2, 1), (3, 2)")
         db.execute("CREATE TABLE s (c int)")

@@ -2,8 +2,8 @@
 
 The contract under test is *bit-identical parity*: any query executed
 with ``max_parallel_workers >= 2`` must return exactly the rows, in
-exactly the order, of the serial plan — across all three engines, the
-provenance rewrite strategies and the TPC-H sublink templates.  On top
+exactly the order, of the serial plan — on both engines (and the same
+bag as the oracle interpreter), across the provenance rewrite strategies and the TPC-H sublink templates.  On top
 of that: hash partitioning must survive DML, commits, WAL replay and
 snapshot reload; partition pruning must plan a ``PartitionScan``; a
 worker killed mid-query must surface a clean :class:`ExecutionError`
@@ -15,9 +15,11 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import Counter
 
 import pytest
 
+from oracle_engine import oracle
 from repro import connect
 from repro.engine import parallel as par
 from repro.engine.parallel import (
@@ -29,7 +31,28 @@ from repro.synthetic import SyntheticConfig, load_synthetic, q1_sql, q2_sql
 #: Fan out even on tiny test tables.
 PARALLEL = dict(max_parallel_workers=2, parallel_threshold=1)
 
-ENGINES = ("materializing", "pipelined", "vectorized")
+#: "oracle" is the naive interpreter of ``tests/oracle_engine.py``: the
+#: parallel plan (on the default engine) is bag-compared against it.
+ENGINES = ("oracle", "pipelined", "vectorized")
+
+
+def _pair(engine, catalog=None):
+    """A (serial reference, parallel session) pair for *engine*."""
+    if engine == "oracle":
+        parallel = connect(catalog=catalog, **PARALLEL)
+        return oracle(parallel.catalog), parallel
+    serial = connect(engine=engine, catalog=catalog,
+                     max_parallel_workers=0)
+    return serial, connect(engine=engine, catalog=serial.catalog,
+                           **PARALLEL)
+
+
+def _same(engine, actual, expected):
+    """Bit-identical against a batch engine; a bag against the oracle
+    (the interpreter's unordered outputs come in its own order)."""
+    if engine == "oracle":
+        return Counter(actual) == Counter(expected)
+    return actual == expected
 
 
 def teardown_module(module):
@@ -252,13 +275,11 @@ PARITY_QUERIES = [
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("partitions", [None, 4])
 def test_parallel_matches_serial_bit_for_bit(engine, partitions):
-    serial = connect(engine=engine)
-    _seed_events(serial, partitions=partitions)
-    parallel = connect(engine=engine, **PARALLEL)
+    serial, parallel = _pair(engine)
     _seed_events(parallel, partitions=partitions)
     for sql in PARITY_QUERIES:
-        assert parallel.execute(sql).rows == serial.execute(sql).rows, sql
-    serial.close()
+        assert _same(engine, parallel.sql(sql).rows,
+                     serial.sql(sql).rows), sql
     parallel.close()
 
 
@@ -273,13 +294,11 @@ def test_provenance_strategies_parity_under_parallelism(engine):
                                    (q2_sql, ("gen", "left", "move")))
         for strategy in strategies
     ]
-    serial = connect(engine=engine, catalog=db.catalog)
-    parallel = connect(engine=engine, catalog=db.catalog, **PARALLEL)
+    serial, parallel = _pair(engine, db.catalog)
     for sql, strategy in queries:
-        expected = serial.prepare(sql, strategy=strategy).execute(()).rows
+        expected = serial.sql(sql, strategy=strategy).rows
         actual = parallel.prepare(sql, strategy=strategy).execute(()).rows
-        assert actual == expected, (strategy, sql)
-    serial.close()
+        assert _same(engine, actual, expected), (strategy, sql)
     parallel.close()
 
 
@@ -374,19 +393,19 @@ def test_order_by_and_nested_loop_join_vectorize():
 
 
 def test_vectorized_outer_join_null_padding_matches_serial():
+    sql = "SELECT a, d FROM r LEFT JOIN s ON a = c AND d > 15"
     results = {}
-    for engine in ENGINES:
+    for engine in ("pipelined", "vectorized"):
         conn = connect(engine=engine)
         conn.execute("CREATE TABLE r (a int)")
         conn.insert("r", [(1,), (2,), (50,)])
         conn.execute("CREATE TABLE s (c int, d int)")
         conn.insert("s", [(1, 10), (2, 20)])
-        results[engine] = conn.execute(
-            "SELECT a, d FROM r LEFT JOIN s ON a = c AND d > 15").rows
+        results[engine] = conn.execute(sql).rows
+        results["oracle"] = oracle(conn.catalog).sql(sql).rows
         conn.close()
     assert results["vectorized"] == results["pipelined"]
-    assert sorted(results["vectorized"]) == \
-        sorted(results["materializing"])
+    assert Counter(results["vectorized"]) == Counter(results["oracle"])
     assert (50, None) in results["vectorized"]
 
 

@@ -1,7 +1,8 @@
 """Engine parity and physical-plan behaviour.
 
-The pipelined, vectorized engine must produce bag-identical results to
-the materializing reference engine on every query shape — the paper
+The batch engines must produce bag-identical results to the
+materializing oracle interpreter (``tests/oracle_engine.py``) on every
+query shape — the paper
 examples and the strategy-comparison queries included — and its
 physical plans must keep the execution decisions the paper's figures
 depend on (hash joins for Unn equi-joins, InitPlans for uncorrelated
@@ -13,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from oracle_engine import oracle
 from repro import connect
 from repro.errors import InterfaceError
 
@@ -75,7 +77,7 @@ def _populate(conn) -> None:
 
 @pytest.fixture
 def engines():
-    """A (fast, materializing) connection pair over one catalog.
+    """A (fast session, materializing oracle) pair over one catalog.
 
     The fast engine defaults to ``pipelined``; CI also runs this module
     with ``REPRO_ENGINE=vectorized`` so the whole parity matrix covers
@@ -84,9 +86,7 @@ def engines():
     fast_engine = os.environ.get("REPRO_ENGINE", "pipelined")
     fast = connect(engine=fast_engine)
     _populate(fast)
-    materializing = connect(engine="materializing",
-                            catalog=fast.catalog)
-    return fast, materializing
+    return fast, oracle(fast.catalog)
 
 
 class TestEngineParity:
@@ -112,10 +112,9 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("batch_size", (1, 2, 3, 7, 64))
     def test_parity_across_batch_sizes(self, batch_size):
-        reference = connect(engine="materializing")
-        _populate(reference)
-        small = connect(engine="pipelined", batch_size=batch_size,
-                        catalog=reference.catalog)
+        small = connect(engine="pipelined", batch_size=batch_size)
+        _populate(small)
+        reference = oracle(small.catalog)
         for sql in ("SELECT PROVENANCE a FROM r WHERE a = ANY "
                     "(SELECT c FROM s WHERE d < 5)",
                     "SELECT b, count(*) AS n FROM r GROUP BY b",
@@ -144,8 +143,8 @@ class TestStreamingLimit:
         assert len(relation.rows) == 5
         stats = conn.last_stats
         assert stats.rows_produced <= 4 * 64
-        # the materializing engine pays for the whole table
-        baseline = connect(engine="materializing", catalog=conn.catalog)
+        # the materializing oracle pays for the whole table
+        baseline = oracle(conn.catalog)
         baseline.sql("SELECT x FROM big LIMIT 5")
         assert baseline.last_stats.rows_produced >= 5000
 
@@ -259,11 +258,9 @@ class TestIndexParity:
         assert Counter(with_indexes.sql(sql, strategy=strategy).rows) == \
             Counter(without.sql(sql, strategy=strategy).rows)
 
-    def test_materializing_engine_agrees_with_indexed_pipeline(self,
-                                                               indexed):
+    def test_oracle_agrees_with_indexed_pipeline(self, indexed):
         with_indexes, _ = indexed
-        materializing = connect(engine="materializing",
-                                catalog=with_indexes.catalog)
+        materializing = oracle(with_indexes.catalog)
         sql = "SELECT a, d FROM r JOIN s ON a = c WHERE b = 1"
         assert Counter(with_indexes.sql(sql).rows) == \
             Counter(materializing.sql(sql).rows)
@@ -311,10 +308,9 @@ class TestConfigKnobs:
         with pytest.raises(InterfaceError):
             connect(batch_size=0)
 
-    def test_materializing_engine_selectable(self):
-        conn = connect(engine="materializing")
-        _populate(conn)
-        assert len(conn.sql("SELECT a FROM r").rows) == 4
+    def test_materializing_engine_left_the_product(self):
+        with pytest.raises(InterfaceError):
+            connect(engine="materializing")
 
 
 class TestShellExplain:

@@ -213,6 +213,30 @@ class TestKeyingAndLRU:
             (hits, misses)
 
 
+class TestPhysicalLeasing:
+    def test_failed_lowering_returns_the_lease(self):
+        """Regression: ``acquire_physical`` counted the lease before
+        calling ``lower()``; when lowering raised, ``leased`` stayed at 1
+        forever and ``leased_instances()`` reported a phantom leak."""
+        plan = CachedPlan(plan=None, param_count=0, strategy=None,
+                          catalog_version=0)       # empty pool
+        cache = PlanCache()
+        cache.store("k", plan)
+
+        def boom():
+            raise RuntimeError("lowering failed")
+
+        with pytest.raises(RuntimeError, match="lowering failed"):
+            plan.acquire_physical(boom)
+        assert plan.leased == 0
+        assert cache.leased_instances() == 0
+        # the entry is still usable once lowering works again
+        instance = plan.acquire_physical(lambda: "physical")
+        assert (plan.leased, cache.leased_instances()) == (1, 1)
+        plan.release_physical(instance)
+        assert cache.leased_instances() == 0
+
+
 class TestStrategyRegistry:
     def test_builtins_registered(self):
         assert set(strategies.available()) >= {"gen", "left", "move", "unn"}

@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database, connect
+from repro import connect, Connection
 from repro.relation import Relation
 
 
@@ -47,8 +47,8 @@ sublink_filters = st.sampled_from([
 ])
 
 
-def make_db(r_rows, s_rows) -> Database:
-    db = Database()
+def make_db(r_rows, s_rows) -> Connection:
+    db = connect()
     db.execute("CREATE TABLE r (a int, b int)")
     db.insert("r", r_rows)
     db.execute("CREATE TABLE s (c int, d int)")
@@ -173,7 +173,7 @@ def test_bag_difference_multiplicity(xs, ys):
 @settings(max_examples=100, deadline=None)
 @given(bags, bags)
 def test_union_via_sql_matches_relation_layer(xs, ys):
-    db = Database()
+    db = connect()
     db.execute("CREATE TABLE t1 (x int)")
     db.insert("t1", xs)
     db.execute("CREATE TABLE t2 (x int)")
@@ -248,7 +248,7 @@ def test_indexed_and_plain_plans_agree(rows, kind):
 @settings(max_examples=60, deadline=None)
 @given(bags, bags)
 def test_intersect_distinct_via_sql(xs, ys):
-    db = Database()
+    db = connect()
     db.execute("CREATE TABLE t1 (x int)")
     db.insert("t1", xs)
     db.execute("CREATE TABLE t2 (x int)")

@@ -21,12 +21,13 @@ from __future__ import annotations
 import os
 import shutil
 import struct
+import time
 from collections import Counter
 
 import pytest
 
 from repro import connect
-from repro.storage.store import WAL_FILE
+from repro.storage.store import SNAPSHOT_FILE, WAL_FILE
 from repro.storage.wal import WAL_MAGIC
 
 _RECORD_HEADER = struct.Struct("<II")
@@ -731,3 +732,49 @@ class TestGroupCommit:
                 Counter([(1,), (2,), (3,)])
         finally:
             reopened.close()
+
+
+class TestBackgroundCheckpointer:
+    """``checkpoint_wal_mb``: the flusher flags a dedicated thread once
+    the WAL outgrows the budget; committers never compact themselves."""
+
+    #: one committed INSERT of this many rows logs ~0.6 MiB
+    ROWS = [(i, "x" * 600) for i in range(1000)]
+
+    def _commit_past_one_mib(self, dbdir: str, budget_mb: int):
+        conn = connect(path=dbdir, checkpoint_wal_mb=budget_mb)
+        conn.execute("CREATE TABLE blob (k int, v text)")
+        conn.insert("blob", self.ROWS)
+        conn.insert("blob", self.ROWS)
+        return conn
+
+    def test_wal_budget_triggers_a_background_checkpoint(self, tmp_path):
+        dbdir = str(tmp_path / "db")
+        conn = self._commit_past_one_mib(dbdir, budget_mb=1)
+        snapshot = os.path.join(dbdir, SNAPSHOT_FILE)
+        wal = os.path.join(dbdir, WAL_FILE)
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and not (
+                os.path.exists(snapshot)
+                and os.path.getsize(wal) == len(WAL_MAGIC)):
+            time.sleep(0.02)
+        assert os.path.getsize(snapshot) > 1024 * 1024
+        assert os.path.getsize(wal) == len(WAL_MAGIC)   # compacted
+        conn.insert("blob", [(-1, "after")])            # still writable
+        conn.close()
+        reopened = connect(path=dbdir)
+        try:
+            assert Counter(reopened.catalog.get("blob").rows) == \
+                Counter(self.ROWS * 2 + [(-1, "after")])
+        finally:
+            reopened.close()
+
+    def test_zero_budget_never_compacts(self, tmp_path):
+        dbdir = str(tmp_path / "db")
+        conn = self._commit_past_one_mib(dbdir, budget_mb=0)
+        assert conn.engine._checkpoint_thread is None
+        time.sleep(0.2)     # a (wrongly) armed checkpointer would fire
+        assert not os.path.exists(os.path.join(dbdir, SNAPSHOT_FILE))
+        assert os.path.getsize(os.path.join(dbdir, WAL_FILE)) \
+            > 1024 * 1024
+        conn.close()

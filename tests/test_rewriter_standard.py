@@ -7,13 +7,13 @@ and the *original* part of q+ equals q after duplicate elimination
 
 import pytest
 
-from repro import Database, RewriteError
+from repro import Connection, RewriteError
 from repro.provenance import ProvenanceRewriter
 from repro.engine import Executor
 
 
 
-def preservation(db: Database, sql: str, strategy: str = "auto"):
+def preservation(db: Connection, sql: str, strategy: str = "auto"):
     """Check result preservation and return (plain, provenance) rows."""
     plain = db.sql(sql)
     prov = db.provenance(sql, strategy=strategy)

@@ -3,12 +3,12 @@
 
 import pytest
 
-from repro import Database
+from repro import connect
 
 
 @pytest.fixture
 def db():
-    database = Database()
+    database = connect()
     database.execute_script("""
         CREATE TABLE items (id int, name text, price float, qty int,
                             category text);

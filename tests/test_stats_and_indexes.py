@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from oracle_engine import oracle
 from repro import connect
 from repro.errors import CatalogError
 from repro.provenance.rewriter import ProvenanceRewriter
@@ -284,9 +285,7 @@ class TestIndexPlans:
         indexed = connect(catalog=plain.catalog)
         indexed.execute("CREATE INDEX t_x ON t (x)")
         assert indexed.sql(sql).rows == expected
-        materializing = connect(engine="materializing",
-                                catalog=plain.catalog)
-        assert materializing.sql(sql).rows == expected
+        assert oracle(plain.catalog).sql(sql).rows == expected
 
     def test_range_scan_uses_sorted_index(self):
         conn = connect()
@@ -394,7 +393,7 @@ class TestErrorSemantics:
         conn.execute("ANALYZE t")
         assert conn.execute("SELECT a FROM t WHERE a <> 5 AND b < 10"
                             ).rows == []
-        baseline = connect(engine="materializing", catalog=conn.catalog)
+        baseline = oracle(conn.catalog)
         assert baseline.sql("SELECT a FROM t WHERE a <> 5 AND b < 10"
                             ).rows == []
 
@@ -558,7 +557,7 @@ class TestJoinOrdering:
         conn.execute("ANALYZE")
         sql = ("SELECT f.a, f.b FROM fact f, dim1 d, tiny t "
                "WHERE f.a = d.a AND f.b = t.b")
-        baseline = connect(engine="materializing", catalog=conn.catalog)
+        baseline = oracle(conn.catalog)
         assert Counter(conn.sql(sql).rows) == Counter(baseline.sql(sql).rows)
         text = conn.explain_physical(sql)
         scans = [line for line in text.splitlines()
@@ -594,8 +593,7 @@ class TestAutoStrategySelection:
     def test_auto_varies_with_size_on_fig8_grid(self):
         picks = {}
         for size in (8, 2000):
-            db = load_synthetic(SyntheticConfig(size, size, seed=0))
-            conn = db.connection
+            conn = load_synthetic(SyntheticConfig(size, size, seed=0))
             picks[("q1", size)] = _auto_decisions(
                 conn, q1_sql(size, size))[0]
             picks[("q2", size)] = _auto_decisions(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, RewriteError
+from repro import RewriteError
 
 GENERAL = ("gen", "left", "move", "auto")
 

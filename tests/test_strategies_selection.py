@@ -3,7 +3,7 @@ systematic matrix of sublink kinds x strategies."""
 
 import pytest
 
-from repro import Database, RewriteError
+from repro import connect, RewriteError
 
 GENERAL = ("gen", "left", "move", "auto")
 
@@ -189,7 +189,7 @@ class TestMultiplicities:
 
     @pytest.mark.parametrize("strategy", GENERAL)
     def test_duplicate_input_rows(self, strategy):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("INSERT INTO t VALUES (1), (1)")
         db.execute("CREATE TABLE u (y int)")
@@ -200,7 +200,7 @@ class TestMultiplicities:
 
     @pytest.mark.parametrize("strategy", ("gen", "left", "move", "unn"))
     def test_multiple_matches_duplicate_result_tuple(self, strategy):
-        db = Database()
+        db = connect()
         db.execute("CREATE TABLE t (x int)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("CREATE TABLE u (y int, z int)")

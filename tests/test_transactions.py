@@ -117,6 +117,25 @@ class TestTransactionBasics:
         assert ps.execute().rows == [(3,)]
         conn.commit()
 
+    @pytest.mark.parametrize("surface", ("sql", "provenance"))
+    def test_autocommit_off_one_shot_helpers_join_the_txn(self, engine,
+                                                          surface):
+        """``sql()`` / ``provenance()`` run the same SELECT path as the
+        cursor: they open the implicit transaction too, so a second call
+        does not see another session's commit."""
+        conn = engine.connect()
+        other = engine.connect()
+        conn.autocommit = False
+        run = getattr(conn, surface)
+        assert len(run("SELECT x FROM t").rows) == 2
+        assert conn.in_transaction       # the one-shot helper began it
+        other.execute("INSERT INTO t VALUES (9, 90)")
+        assert len(run("SELECT x FROM t").rows) == 2    # repeatable read
+        assert len(rows(conn)) == 2      # the cursor shares the snapshot
+        conn.rollback()
+        assert len(run("SELECT x FROM t").rows) == 3
+        conn.commit()
+
 
 class TestSnapshotIsolation:
     def test_uncommitted_writes_invisible(self, engine):

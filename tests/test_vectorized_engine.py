@@ -3,12 +3,12 @@
 ``engine="vectorized"`` must be *always correct, never partial*: every
 query either runs on whole-column vector kernels or falls back to row
 operators node by node, and in both cases the results are bag-identical
-to the materializing reference engine.  This module runs the full parity
+to the materializing oracle interpreter.  This module runs the full parity
 matrix of ``test_physical_engine`` plus the data shapes that stress the
 columnar representation specifically — NULL-heavy columns, mixed
 int/float/bool/text columns, NaN, beyond-int64 integers — along with a
-hypothesis round-trip for the ColumnBatch <-> rows transposition, the
-EXPLAIN surfaces, and the recycled-``id(op)`` plan-cache regression.
+hypothesis round-trip for the ColumnBatch <-> rows transposition and
+the EXPLAIN surfaces.
 """
 
 import math
@@ -16,6 +16,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_engine import oracle
 from repro import connect
 from repro.engine.columnar import (
     Column, ColumnBatch, clear_cache, column_from_values, table_columns,
@@ -28,11 +29,10 @@ from test_physical_engine import (
 
 
 def _pair(**kwargs):
-    """A (vectorized, materializing) connection pair over one catalog."""
+    """A (vectorized session, materializing oracle) pair over one
+    catalog."""
     vectorized = connect(engine="vectorized", **kwargs)
-    materializing = connect(engine="materializing",
-                            catalog=vectorized.catalog)
-    return vectorized, materializing
+    return vectorized, oracle(vectorized.catalog)
 
 
 @pytest.fixture
@@ -81,10 +81,9 @@ class TestVectorizedParity:
 
     @pytest.mark.parametrize("batch_size", (1, 2, 3, 7, 64))
     def test_parity_across_batch_sizes(self, batch_size):
-        reference = connect(engine="materializing")
-        _populate(reference)
-        small = connect(engine="vectorized", batch_size=batch_size,
-                        catalog=reference.catalog)
+        small = connect(engine="vectorized", batch_size=batch_size)
+        _populate(small)
+        reference = oracle(small.catalog)
         for sql in ("SELECT a, d FROM r JOIN s ON a = c AND d > 3",
                     "SELECT b, count(*) AS n FROM r GROUP BY b",
                     "SELECT DISTINCT b FROM r WHERE a + b > 2",
@@ -237,9 +236,9 @@ class TestExplainSurfaces:
         assert "RowsFromColumns" in text         # the bridge between
 
     def test_pipelined_explain_untagged(self, engines):
-        _, materializing = engines
+        vectorized, _ = engines
         pipelined = connect(engine="pipelined",
-                            catalog=materializing.catalog)
+                            catalog=vectorized.catalog)
         text = pipelined.explain_physical("SELECT a FROM r WHERE a > 1")
         assert "[columnar]" not in text and "[rows]" not in text
 
@@ -343,39 +342,3 @@ class TestColumnBatchRoundTrip:
         assert second is not first
         # NULL-free int columns are array('q')-backed; compare values
         assert list(second[0].values) == [1, 2, 3]
-
-
-class TestLoweredCacheRegression:
-    """PR-7 fix: ``PipelineEngine._lowered`` keyed by ``id(op)`` could
-    serve a stale plan when a dead tree's id was recycled.  The cache now
-    stores the tree alongside the plan and validates identity."""
-
-    def test_recycled_id_cannot_serve_stale_plan(self):
-        from repro.engine.pipeline import PipelineEngine
-        from repro.engine.stats import ExecutionStats
-
-        connection = connect()
-        _populate(connection)
-        plan_a = connection.plan("SELECT a FROM r")
-        plan_b = connection.plan("SELECT d FROM s")
-        engine = PipelineEngine(connection.catalog, True, False,
-                                ExecutionStats())
-        result_a = engine.execute(plan_a)
-        assert sorted(result_a.rows) == [(1,), (2,), (2,), (3,)]
-        # simulate an id collision: plan_b's id maps to plan_a's entry
-        engine._lowered[id(plan_b)] = engine._lowered[id(plan_a)]
-        result_b = engine.execute(plan_b)
-        assert sorted(result_b.rows) == [(3,), (4,), (4,), (5,)]
-
-    def test_cache_entry_pins_tree(self):
-        from repro.engine.pipeline import PipelineEngine
-        from repro.engine.stats import ExecutionStats
-
-        connection = connect()
-        _populate(connection)
-        engine = PipelineEngine(connection.catalog, True, False,
-                                ExecutionStats())
-        op = connection.plan("SELECT a FROM r")
-        engine.execute(op)
-        entry = engine._lowered[id(op)]
-        assert entry[0] is op    # the stored tree keeps the id alive
