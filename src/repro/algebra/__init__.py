@@ -19,13 +19,10 @@ from .operators import (
 from .printer import explain, summarize
 from .properties import (
     collect_base_relations,
-    contains_aggregates,
-    contains_sublinks,
     is_correlated,
 )
 from .trees import (
     clone,
-    iter_expressions,
     iter_operators,
     shift_correlation,
     shift_correlation_expr,
@@ -36,8 +33,7 @@ __all__ = [
     "Aggregate", "BaseRelation", "Join", "JoinKind", "Limit", "Operator",
     "Project", "Select", "SetOp", "SetOpKind", "Sort", "SortKey", "Values",
     "explain", "summarize",
-    "collect_base_relations", "contains_aggregates", "contains_sublinks",
-    "is_correlated",
-    "clone", "iter_expressions", "iter_operators", "shift_correlation",
+    "collect_base_relations", "is_correlated",
+    "clone", "iter_operators", "shift_correlation",
     "shift_correlation_expr", "transform_expressions",
 ]

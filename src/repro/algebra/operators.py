@@ -34,8 +34,8 @@ from enum import Enum
 from typing import Any, Sequence
 
 from ..errors import SchemaError
-from ..expressions.ast import AggCall, Expr, TRUE
-from ..schema import Attribute, Schema
+from ..expressions.ast import AggCall, Col, Expr, TRUE
+from ..schema import Schema
 from ..datatypes import SQLType
 
 
@@ -108,64 +108,88 @@ class Values(Operator):
                     f"Values row arity {len(row)} != schema {len(schema)}")
 
 
-class Project(Operator):
-    """Bag or set projection onto named expressions.
+class _Unary(Operator):
+    """An operator over one ``input``, whose schema it keeps unless it
+    says otherwise."""
 
-    ``items`` is a sequence of ``(name, expr)``; ``distinct=True`` is the
-    duplicate-removing set version (SQL ``SELECT DISTINCT``).
-    """
-
-    __slots__ = ("input", "items", "distinct")
-
-    def __init__(self, input: Operator,
-                 items: Sequence[tuple[str, Expr]],
-                 distinct: bool = False):
-        super().__init__()
-        self.input = input
-        self.items = tuple(items)
-        self.distinct = distinct
-
-    def _infer_schema(self) -> Schema:
-        from ..expressions.ast import Col
-        attributes = []
-        for name, expr in self.items:
-            type_ = SQLType.ANY
-            if isinstance(expr, Col) and expr.level == 0 \
-                    and expr.name in self.input.schema:
-                type_ = self.input.schema[expr.name].type
-            attributes.append(Attribute(name, type_))
-        return Schema(attributes)
-
-    def children(self):
-        return (self.input,)
-
-    def replace_children(self, new):
-        return Project(new[0], self.items, self.distinct)
-
-    def expressions(self):
-        return tuple(expr for _, expr in self.items)
-
-    def replace_expressions(self, new):
-        items = tuple(
-            (name, expr) for (name, _), expr in zip(self.items, new))
-        return Project(self.input, items, self.distinct)
-
-
-class Select(Operator):
-    """Selection: keep input rows whose condition is definitely true."""
-
-    __slots__ = ("input", "condition")
-
-    def __init__(self, input: Operator, condition: Expr):
-        super().__init__()
-        self.input = input
-        self.condition = condition
+    __slots__ = ("input",)
 
     def _infer_schema(self) -> Schema:
         return self.input.schema
 
     def children(self):
         return (self.input,)
+
+
+class Project(_Unary):
+    """Bag or set projection onto named expressions.
+
+    ``items`` is a sequence of ``(name, expr)``; ``distinct=True`` is the
+    duplicate-removing set version (SQL ``SELECT DISTINCT``), kept as
+    the parallel tuples ``names`` and ``exprs`` that rebuilt copies and
+    the lowered plan share.
+    """
+
+    __slots__ = ("names", "exprs", "distinct")
+
+    def __init__(self, input: Operator,
+                 items: Sequence[tuple[str, Expr]],
+                 distinct: bool = False):
+        names, exprs = tuple(zip(*items)) or ((), ())
+        self._fill(input, names, exprs, distinct)
+
+    def _fill(self, input: Operator, names: tuple[str, ...],
+              exprs: tuple[Expr, ...], distinct: bool) -> "Project":
+        Operator.__init__(self)
+        self.input = input
+        self.names = names
+        self.exprs = exprs
+        self.distinct = distinct
+        return self
+
+    @property
+    def items(self) -> tuple[tuple[str, Expr], ...]:
+        return tuple(zip(self.names, self.exprs))
+
+    def _infer_schema(self) -> Schema:
+        # A column passed through keeps its type, and a projection that
+        # passes every column through shares its input's schema.
+        source = self.input.schema
+        positions = source.index
+        types = []
+        for expr in self.exprs:
+            position = positions.get(expr.name) \
+                if isinstance(expr, Col) and expr.level == 0 else None
+            types.append(SQLType.ANY if position is None
+                         else source.types[position])
+        if self.names == source.names and tuple(types) == source.types:
+            return source
+        return Schema.of_columns(self.names, types)
+
+    def replace_children(self, new):
+        node = Project.__new__(Project)._fill(
+            new[0], self.names, self.exprs, self.distinct)
+        if new[0].schema is self.input.schema:
+            node._schema = self._schema     # same items over same columns
+        return node
+
+    def expressions(self):
+        return self.exprs
+
+    def replace_expressions(self, new):
+        return Project.__new__(Project)._fill(
+            self.input, self.names, tuple(new), self.distinct)
+
+
+class Select(_Unary):
+    """Selection: keep input rows whose condition is definitely true."""
+
+    __slots__ = ("condition",)
+
+    def __init__(self, input: Operator, condition: Expr):
+        super().__init__()
+        self.input = input
+        self.condition = condition
 
     def replace_children(self, new):
         return Select(new[0], self.condition)
@@ -205,7 +229,11 @@ class Join(Operator):
         return (self.left, self.right)
 
     def replace_children(self, new):
-        return Join(new[0], new[1], self.condition, self.kind)
+        node = Join(new[0], new[1], self.condition, self.kind)
+        if new[0].schema is self.left.schema \
+                and new[1].schema is self.right.schema:
+            node._schema = self._schema
+        return node
 
     def expressions(self):
         return (self.condition,)
@@ -214,7 +242,7 @@ class Join(Operator):
         return Join(self.left, self.right, new[0], self.kind)
 
 
-class Aggregate(Operator):
+class Aggregate(_Unary):
     """Grouping + aggregation.
 
     ``group`` is a tuple of input *column names* (the analyzer projects
@@ -224,7 +252,7 @@ class Aggregate(Operator):
     exactly one output row (even for empty input — SQL semantics).
     """
 
-    __slots__ = ("input", "group", "aggregates")
+    __slots__ = ("group", "aggregates")
 
     def __init__(self, input: Operator, group: Sequence[str],
                  aggregates: Sequence[tuple[str, AggCall]]):
@@ -234,12 +262,12 @@ class Aggregate(Operator):
         self.aggregates = tuple(aggregates)
 
     def _infer_schema(self) -> Schema:
-        attributes = [self.input.schema[name] for name in self.group]
-        attributes.extend(Attribute(name) for name, _ in self.aggregates)
-        return Schema(attributes)
-
-    def children(self):
-        return (self.input,)
+        source = self.input.schema
+        names = [name for name, _ in self.aggregates]
+        return Schema.of_columns(
+            (*self.group, *names),
+            (*[source[name].type for name in self.group],
+             *[SQLType.ANY] * len(names)))
 
     def replace_children(self, new):
         return Aggregate(new[0], self.group, self.aggregates)
@@ -296,21 +324,15 @@ class SortKey:
     ascending: bool = True
 
 
-class Sort(Operator):
+class Sort(_Unary):
     """Deterministic ordering (NULLs sort first ascending, last descending)."""
 
-    __slots__ = ("input", "keys")
+    __slots__ = ("keys",)
 
     def __init__(self, input: Operator, keys: Sequence[SortKey]):
         super().__init__()
         self.input = input
         self.keys = tuple(keys)
-
-    def _infer_schema(self) -> Schema:
-        return self.input.schema
-
-    def children(self):
-        return (self.input,)
 
     def replace_children(self, new):
         return Sort(new[0], self.keys)
@@ -325,10 +347,10 @@ class Sort(Operator):
         return Sort(self.input, keys)
 
 
-class Limit(Operator):
+class Limit(_Unary):
     """LIMIT/OFFSET."""
 
-    __slots__ = ("input", "count", "offset")
+    __slots__ = ("count", "offset")
 
     def __init__(self, input: Operator, count: int | None,
                  offset: int = 0):
@@ -336,12 +358,6 @@ class Limit(Operator):
         self.input = input
         self.count = count
         self.offset = offset
-
-    def _infer_schema(self) -> Schema:
-        return self.input.schema
-
-    def children(self):
-        return (self.input,)
 
     def replace_children(self, new):
         return Limit(new[0], self.count, self.offset)

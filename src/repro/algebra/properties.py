@@ -4,75 +4,50 @@
   (decides Gen vs Left/Move applicability, Section 3.6)
 * :func:`collect_base_relations` — the ``Base(Tsub)`` list used to build
   the Gen strategy's CrossBase.
-* :func:`contains_sublinks` / :func:`contains_aggregates` — expression
-  classification helpers.
 """
 
 from __future__ import annotations
 
-from ..expressions.ast import AggCall, Col, Expr, Sublink
+from ..expressions.ast import Col, Expr, Sublink
 from .operators import BaseRelation, Operator
 from .trees import iter_operators
 
 
-def _expr_nodes(expr: Expr):
-    yield expr
-    for child in expr.children():
-        yield from _expr_nodes(child)
-
-
-def contains_sublinks(expr: Expr) -> bool:
-    """True iff *expr* contains a sublink node (at any depth of the
-    expression, not looking inside sublink query trees)."""
-    return any(isinstance(node, Sublink) for node in _expr_nodes(expr))
-
-
-def contains_aggregates(expr: Expr) -> bool:
-    """True iff *expr* contains an aggregate call outside sublinks."""
-    return any(isinstance(node, AggCall) for node in _expr_nodes(expr))
-
-
-def _max_escape_expr(expr: Expr, boundary: int) -> int:
-    """Largest ``level - boundary_at_ref + 1`` over escaping refs, i.e. how
-    many levels above the fragment root the expression reaches (0 = none)."""
-    deepest = 0
+def _collect_escapes(expr: Expr, refs: set[tuple[str, int]]) -> None:
+    """Add to *refs* what *expr*, attached to an operator of a sublink
+    query, reads outside that query (see :func:`outer_references`)."""
     if isinstance(expr, Col):
-        if expr.level >= boundary:
-            deepest = expr.level - boundary + 1
+        if expr.level >= 1:
+            refs.add((expr.name, expr.level - 1))
+        return
     for child in expr.children():
-        deepest = max(deepest, _max_escape_expr(child, boundary))
+        _collect_escapes(child, refs)
     if isinstance(expr, Sublink):
-        deepest = max(deepest, _max_escape_op(expr.query, boundary + 1))
-    return deepest
+        # a nested sublink has walked its own query already
+        refs.update((name, level - 1)
+                    for name, level in expr.outer_refs if level >= 1)
 
 
-def _max_escape_op(op: Operator, boundary: int) -> int:
-    deepest = 0
-    for node in iter_operators(op):
+def outer_references(query: Operator) -> frozenset[tuple[str, int]]:
+    """The columns sublink query *query* reads outside itself, as
+    ``(name, level)`` with levels counted from the scope hosting the
+    sublink (0 = the hosting operator's own input row).  One walk."""
+    refs: set[tuple[str, int]] = set()
+    for node in iter_operators(query):
         for expr in node.expressions():
-            deepest = max(deepest, _max_escape_expr(expr, boundary))
-    for node in iter_operators(op):
-        for expr in node.expressions():
-            for sub in _expr_nodes(expr):
-                if isinstance(sub, Sublink):
-                    deepest = max(
-                        deepest, _max_escape_op(sub.query, boundary + 1))
-    return deepest
+            _collect_escapes(expr, refs)
+    return frozenset(refs)
 
 
 def correlation_depth(query: Operator) -> int:
     """How many enclosing scopes *query* reaches into (0 = uncorrelated)."""
-    return _max_escape_op(query, boundary=1)
+    return max((level + 1 for _, level in outer_references(query)),
+               default=0)
 
 
 def is_correlated(query: Operator) -> bool:
     """True iff the sublink query *query* references an enclosing scope."""
-    return correlation_depth(query) > 0
-
-
-def expr_is_correlated(expr: Expr) -> bool:
-    """True iff *expr* (e.g. a sublink's test) escapes its own scope."""
-    return _max_escape_expr(expr, boundary=0) > 0
+    return bool(outer_references(query))
 
 
 def collect_base_relations(op: Operator) -> list[BaseRelation]:

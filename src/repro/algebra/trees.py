@@ -11,10 +11,33 @@ fragment iff ``level >= b``, and exactly those references are shifted.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterator
+from operator import is_not
+from typing import Any, Callable, Iterator, Sequence
 
-from ..expressions.ast import Col, Expr, Sublink
+from ..expressions.ast import Col, Expr, Sublink, collect_sublinks
 from .operators import Operator
+
+
+def rebuild(node: Any, children: Sequence[Any],
+            exprs: Sequence[Expr] = ()) -> Any:
+    """*node* — an operator or an expression — over *children* and, for
+    an operator, attached *exprs*: *node* itself when each is (``is``)
+    the one it already has.  Every rewriting pass rebuilds through here,
+    so a pass that changes nothing returns its argument and what is
+    keyed on node identity (the estimator's memo) survives the pass."""
+    if any(map(is_not, node.children(), children)):
+        node = node.replace_children(children)
+    if exprs and any(map(is_not, node.expressions(), exprs)):
+        node = node.replace_expressions(exprs)
+    return node
+
+
+def transform(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
+    """Bottom-up rewrite: apply *fn* to every node, keeping nodes where
+    *fn* returns None.  Sublink query trees are not entered."""
+    expr = rebuild(expr, [transform(child, fn) for child in expr.children()])
+    replacement = fn(expr)
+    return expr if replacement is None else replacement
 
 
 def iter_operators(op: Operator, into_sublinks: bool = False
@@ -29,22 +52,8 @@ def iter_operators(op: Operator, into_sublinks: bool = False
         yield from iter_operators(child, into_sublinks)
     if into_sublinks:
         for expr in op.expressions():
-            for node in _walk_expr(expr):
-                if isinstance(node, Sublink):
-                    yield from iter_operators(node.query, True)
-
-
-def _walk_expr(expr: Expr) -> Iterator[Expr]:
-    yield expr
-    for child in expr.children():
-        yield from _walk_expr(child)
-
-
-def iter_expressions(op: Operator) -> Iterator[Expr]:
-    """All expressions attached to operators of *op*'s tree (top query level
-    only — sublink query trees are not entered)."""
-    for node in iter_operators(op):
-        yield from node.expressions()
+            for sublink in collect_sublinks(expr):
+                yield from iter_operators(sublink.query, True)
 
 
 def transform_expressions(op: Operator,
@@ -55,15 +64,8 @@ def transform_expressions(op: Operator,
     it is responsible for any recursion it needs.  Children operators are
     transformed first.
     """
-    new_children = [transform_expressions(c, fn) for c in op.children()]
-    if list(op.children()) != new_children:
-        op = op.replace_children(new_children)
-    old_exprs = op.expressions()
-    if old_exprs:
-        new_exprs = [fn(e) for e in old_exprs]
-        if list(old_exprs) != new_exprs:
-            op = op.replace_expressions(new_exprs)
-    return op
+    return rebuild(op, [transform_expressions(c, fn) for c in op.children()],
+                   [fn(e) for e in op.expressions()])
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +90,23 @@ def clone(op: Operator) -> Operator:
     return op
 
 
+def map_sublink_queries(expr: Expr,
+                        fn: Callable[[Operator], Operator]) -> Expr:
+    """*expr* with *fn*, which maps a query to an equivalent one,
+    applied to the query of every sublink in it (*expr* itself when it
+    holds none, or *fn* changes none)."""
+    if not expr.has_sublink:
+        return expr
+    expr = rebuild(expr, [map_sublink_queries(child, fn)
+                          for child in expr.children()])
+    if isinstance(expr, Sublink):
+        expr = expr.with_query(fn(expr.query), equivalent=True)
+    return expr
+
+
 def clone_expr(expr: Expr) -> Expr:
     """Copy *expr*, deep-cloning any sublink query trees inside it."""
-    new_children = [clone_expr(c) for c in expr.children()]
-    if new_children != list(expr.children()):
-        expr = expr.replace_children(new_children)
-    if isinstance(expr, Sublink):
-        return Sublink(expr.kind, clone(expr.query), expr.op, expr.test)
-    return expr
+    return map_sublink_queries(expr, clone)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +124,11 @@ def shift_correlation_expr(expr: Expr, delta: int, boundary: int = 0) -> Expr:
         if expr.level >= boundary:
             return Col(expr.name, expr.level + delta)
         return expr
-    new_children = [
-        shift_correlation_expr(child, delta, boundary)
-        for child in expr.children()]
-    if new_children != list(expr.children()):
-        expr = expr.replace_children(new_children)
+    expr = rebuild(expr, [shift_correlation_expr(child, delta, boundary)
+                          for child in expr.children()])
     if isinstance(expr, Sublink):
-        shifted_query = shift_correlation(expr.query, delta, boundary + 1)
-        if shifted_query is not expr.query:
-            expr = Sublink(expr.kind, shifted_query, expr.op, expr.test)
+        expr = expr.with_query(
+            shift_correlation(expr.query, delta, boundary + 1))
     return expr
 
 
@@ -135,14 +142,7 @@ def shift_correlation(op: Operator, delta: int, boundary: int = 1
     """
     if delta == 0:
         return op
-    new_children = [
-        shift_correlation(child, delta, boundary) for child in op.children()]
-    if list(op.children()) != new_children:
-        op = op.replace_children(new_children)
-    exprs = op.expressions()
-    if exprs:
-        new_exprs = [
-            shift_correlation_expr(e, delta, boundary) for e in exprs]
-        if list(exprs) != new_exprs:
-            op = op.replace_expressions(new_exprs)
-    return op
+    return rebuild(
+        op, [shift_correlation(c, delta, boundary) for c in op.children()],
+        [shift_correlation_expr(e, delta, boundary)
+         for e in op.expressions()])

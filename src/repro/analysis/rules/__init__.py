@@ -1,7 +1,7 @@
 """The rule registry and the violation record.
 
 A *rule family* (``lock-discipline``, ``exhaustiveness``, ``purity``,
-``hygiene``, ``typing``, ``config-knobs``) is one registered checker
+``hygiene``, ``typing``, ``config-knobs``, ``planner``) is one registered checker
 function; each family emits violations under specific ids
 (``hygiene-pickle``, ``exhaustiveness-wal``, ...) so pragmas and
 baselines can be precise.
@@ -102,6 +102,12 @@ class AnalysisConfig:
         "client", "client.*", "server", "server.*", "catalog",
         "relation", "analysis", "analysis.*")
 
+    #: modules that plan: no module-level memo of facts about plan nodes
+    planner_modules: tuple[str, ...] = (
+        "engine.optimizer", "engine.lowering", "engine.cost", "algebra",
+        "algebra.*", "provenance", "provenance.*", "schema",
+        "expressions.ast")
+
     def replace(self, **overrides: Any) -> "AnalysisConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         values.update(overrides)
@@ -175,5 +181,6 @@ def run_rules(project: Project, graph: CallGraph,
 
 def _load_builtin_rules() -> None:
     from . import (  # noqa: F401
-        exhaustiveness, hygiene, knobs, locks, purity, typing_gate,
+        exhaustiveness, hygiene, knobs, locks, planner, purity,
+        typing_gate,
     )

@@ -58,6 +58,7 @@ from ..errors import (
     SerializationError,
 )
 from ..engine import ExecutionStats, Executor
+from ..engine.cost import CardinalityEstimator
 from ..engine.physical import PhysicalPlan, explain_physical
 from ..expressions.ast import Expr
 from ..expressions.evaluator import EvalContext, Frame, evaluate
@@ -350,12 +351,13 @@ class Connection:
         """The cost model's cardinality estimate for a SELECT — the row
         count ``EXPLAIN`` would show on the plan root, without executing
         anything."""
-        from ..engine.cost import CardinalityEstimator
         self._check_open()
         catalog = self._read_catalog()
+        estimator = CardinalityEstimator(catalog)
         plan = self._logical_plan(
-            _parse_select(text, "estimate_rows()"), strategy, catalog)[0]
-        return CardinalityEstimator(catalog).estimate(plan)
+            _parse_select(text, "estimate_rows()"), strategy, catalog,
+            estimator)[0]
+        return estimator.estimate(plan)
 
     def explain_analyze(self, text: str, params: Sequence[Any] = (),
                         strategy: str | None = None) -> str:
@@ -483,14 +485,16 @@ class Connection:
             strategy = self.config.default_strategy
         return strategy
 
-    def _lower(self, plan: Operator,
-               catalog: Catalog) -> PhysicalPlan:
+    def _lower(self, plan: Operator, catalog: Catalog,
+               estimator: CardinalityEstimator | None = None
+               ) -> PhysicalPlan:
         """Physical lowering with the given catalog and the session's
         index and parallelism knobs — the session's only spelling of it,
         so EXPLAIN output always describes the plan execution would run."""
         from ..engine.lowering import lower_plan
         physical = lower_plan(plan, catalog,
-                              use_indexes=self.config.use_indexes)
+                              use_indexes=self.config.use_indexes,
+                              estimator=estimator)
         workers = self.config.max_parallel_workers
         if workers >= 2 or catalog.partitions():
             from ..engine.parallel import parallelize_plan
@@ -500,22 +504,27 @@ class Connection:
         return physical
 
     def _logical_plan(self, statement: SelectStmt, override: str | None,
-                      catalog: Catalog, optimized: bool = True
+                      catalog: Catalog,
+                      estimator: CardinalityEstimator | None = None,
+                      optimized: bool = True
                       ) -> tuple[Operator, list[BaseAccess] | None,
                                  str | None]:
         """analyze → (rewrite) → (optimize): the logical plan, the
         rewrite's base-access bookkeeping and the effective strategy;
-        the statement is left untouched."""
+        the statement is left untouched.  Every phase prices with the
+        statement's one *estimator*."""
+        estimator = estimator or CardinalityEstimator(catalog)
         strategy = self._effective_strategy(statement, override)
         plan = Analyzer(catalog).analyze(statement)
         accesses: list[BaseAccess] | None = None
         if strategy:
-            rewriter = ProvenanceRewriter(catalog, strategy, self.config)
+            rewriter = ProvenanceRewriter(catalog, strategy, self.config,
+                                          estimator)
             result = rewriter.rewrite_query(plan)
             plan, accesses = result.plan, result.accesses
         if optimized and self.config.optimize:
             from ..engine.optimizer import optimize
-            plan = optimize(plan, catalog)
+            plan = optimize(plan, catalog, estimator)
         return plan, accesses, strategy
 
     def _plan(self, statement: SelectStmt, override: str | None,
@@ -524,13 +533,12 @@ class Connection:
         an executable (not yet cached) :class:`CachedPlan`.
         :meth:`_get_plan` wraps it with cache lookup/store; the one-shot
         surfaces call it directly."""
+        estimator = CardinalityEstimator(catalog)
         plan, accesses, strategy = self._logical_plan(
-            statement, override, catalog)
+            statement, override, catalog, estimator)
         return CachedPlan(plan, statement.param_count, strategy,
-                          catalog.version,
-                          physical=self._lower(plan, catalog),
-                          accesses=accesses,
-                          stats_version=catalog.stats_version)
+                          physical=self._lower(plan, catalog, estimator),
+                          accesses=accesses)
 
     def _plan_key(self, sql: str, override: str | None,
                   catalog: Catalog | None = None) -> tuple:

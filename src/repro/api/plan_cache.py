@@ -50,9 +50,6 @@ class CachedPlan:
     plan: Operator
     param_count: int
     strategy: str | None            # effective strategy, None = no rewrite
-    catalog_version: int
-    #: statistics generation the plan was costed against
-    stats_version: int = 0
     #: template physical plan (pool seed); its nodes carry the
     #: batch-compiled expression closures, so a cache hit skips lowering
     #: *and* expression compilation.

@@ -137,10 +137,6 @@ class CardinalityEstimator:
         """Estimated output rows of *op* (>= 0)."""
         return self._visit(op)[0]
 
-    def column_map(self, op: Operator) -> ColumnMap:
-        """Base-column lineage of *op*'s visible columns."""
-        return self._visit(op)[1]
-
     def selectivity(self, condition: Expr, op_input: Operator) -> float:
         """Estimated fraction of *op_input*'s rows satisfying *condition*."""
         return self._selectivity(condition, self._visit(op_input)[1])
@@ -225,24 +221,23 @@ class CardinalityEstimator:
             stored = self.catalog.get(op.table).schema
         except CatalogError:
             return rows, columns
-        for name, attribute in zip(op.schema.names, stored):
-            column_stats = stats.column(attribute.name) \
+        for name, column in zip(op.schema.names, stored.names):
+            column_stats = stats.column(column) \
                 if stats is not None else None
-            columns[name] = ColumnOrigin(
-                op.table, attribute.name, rows, column_stats)
+            columns[name] = ColumnOrigin(op.table, column, rows, column_stats)
         return rows, columns
 
     def _project(self, op: Project) -> tuple[float, ColumnMap]:
         rows, columns = self._visit(op.input)
         projected: ColumnMap = {}
-        for name, expr in op.items:
+        for name, expr in zip(op.names, op.exprs):
             if isinstance(expr, Col) and expr.level == 0 \
                     and expr.name in columns:
                 projected[name] = columns[expr.name]
         if op.distinct:
             distinct = 1.0
             known = True
-            for name, expr in op.items:
+            for name in op.names:
                 origin = projected.get(name)
                 if origin is None or origin.stats is None:
                     known = False

@@ -45,8 +45,8 @@ from ..catalog import Catalog
 from ..datatypes import SQLType
 from ..errors import ExecutionError
 from ..expressions.ast import (
-    Arith, BoolOp, Cast, Col, Comparison, Const, Expr, FuncCall, Like,
-    Sublink, TRUE, and_all, conjuncts_of, walk,
+    Arith, Cast, Col, Comparison, Const, Expr, FuncCall, Like,
+    Sublink, TRUE, and_all, collect_sublinks, conjuncts_of, walk,
 )
 from ..expressions.evaluator import Frame
 from ..schema import Schema
@@ -54,7 +54,6 @@ from ..algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
     Select, SetOp, Sort, Values,
 )
-from ..algebra.properties import is_correlated
 from .cost import (
     CardinalityEstimator, FLIP_COMPARISON, HASH_BUILD_COST,
     HASH_PROBE_COST, INDEX_PROBE_COST, NLJ_COMPARE_COST, SORT_FACTOR,
@@ -77,13 +76,9 @@ def split_equi_keys(op: Join) -> tuple[list[tuple[int, int]], list[Expr]]:
     (left position, right position) and residual conjuncts."""
     left_schema = op.left.schema
     right_schema = op.right.schema
-    if isinstance(op.condition, BoolOp) and op.condition.op == "and":
-        conjuncts = op.condition.items
-    else:
-        conjuncts = (op.condition,)
     keys: list[tuple[int, int]] = []
     residual: list[Expr] = []
-    for part in conjuncts:
+    for part in conjuncts_of(op.condition):
         pair = None
         if (isinstance(part, Comparison) and part.op == "="
                 and isinstance(part.left, Col) and part.left.level == 0
@@ -103,18 +98,22 @@ def split_equi_keys(op: Join) -> tuple[list[tuple[int, int]], list[Expr]]:
 
 def lower_plan(op: Operator, catalog: Catalog | None = None, *,
                use_indexes: bool = True,
-               force_nested_loop: bool = False) -> PhysicalPlan:
+               force_nested_loop: bool = False,
+               estimator: CardinalityEstimator | None = None
+               ) -> PhysicalPlan:
     """Lower an (already logically optimized) operator tree.
 
-    With *catalog* the lowering is cost-based (see the module docstring);
-    without it, rule-only.  ``use_indexes=False`` disables IndexScan /
-    IndexNestedLoopJoin selection (plans as if no index existed);
-    ``force_nested_loop=True`` lowers every join to a
+    With *catalog* the lowering is cost-based (see the module docstring),
+    pricing with *estimator* when the caller already has one for this
+    statement; without it, rule-only.  ``use_indexes=False`` disables
+    IndexScan / IndexNestedLoopJoin selection (plans as if no index
+    existed); ``force_nested_loop=True`` lowers every join to a
     :class:`NestedLoopJoin` — a benchmarking hook that lets the smoke
     bench price one join algorithm against another on identical inputs.
     """
     lowerer = _Lowerer(catalog, use_indexes=use_indexes,
-                       force_nested_loop=force_nested_loop)
+                       force_nested_loop=force_nested_loop,
+                       estimator=estimator)
     root = lowerer.lower(op)
     return PhysicalPlan(root, op, op.schema, lowerer.registry)
 
@@ -125,12 +124,13 @@ class _Lowerer:
     cost-based choices."""
 
     def __init__(self, catalog: Catalog | None, use_indexes: bool = True,
-                 force_nested_loop: bool = False) -> None:
+                 force_nested_loop: bool = False,
+                 estimator: CardinalityEstimator | None = None) -> None:
         self.catalog = catalog
         self.use_indexes = use_indexes and catalog is not None
         self.force_nested_loop = force_nested_loop
         self.estimator = None if catalog is None \
-            else CardinalityEstimator(catalog)
+            else estimator or CardinalityEstimator(catalog)
         self.registry: SubplanRegistry = {}
 
     # -- dispatch -------------------------------------------------------------
@@ -148,10 +148,9 @@ class _Lowerer:
 
         if isinstance(op, Project):
             node = PhysicalProject(
-                self.lower(op.input), op.items, op.distinct,
-                Frame.index_for(op.input.schema.names))
-            node.sublinks = self._collect_sublinks(
-                tuple(expr for _, expr in op.items))
+                self.lower(op.input), op.names, op.exprs, op.distinct,
+                Frame.index_for(op.input.schema))
+            node.sublinks = self._collect_sublinks(op.exprs)
             return self._annotate(node, op)
 
         if isinstance(op, Join):
@@ -161,7 +160,7 @@ class _Lowerer:
             node = HashAggregate(
                 self.lower(op.input), op.group,
                 tuple(op.input.schema.positions(op.group)), op.aggregates,
-                Frame.index_for(op.input.schema.names))
+                Frame.index_for(op.input.schema))
             node.sublinks = self._collect_sublinks(
                 tuple(call for _, call in op.aggregates))
             return self._annotate(node, op)
@@ -173,7 +172,7 @@ class _Lowerer:
 
         if isinstance(op, Sort):
             node = SortNode(self.lower(op.input), op.keys,
-                            Frame.index_for(op.input.schema.names))
+                            Frame.index_for(op.input.schema))
             node.sublinks = self._collect_sublinks(
                 tuple(key.expr for key in op.keys))
             return self._annotate(node, op)
@@ -202,7 +201,7 @@ class _Lowerer:
             # the index conjunct absorbed the whole selection
             return self._annotate(child, op, node_is_scan=scan is not None)
         node = Filter(child, condition,
-                      Frame.index_for(op.input.schema.names))
+                      Frame.index_for(op.input.schema))
         node.sublinks = self._collect_sublinks((condition,))
         return self._annotate(node, op)
 
@@ -307,7 +306,7 @@ class _Lowerer:
 
     def _lower_join(self, op: Join) -> PhysicalOperator:
         right_width = len(op.right.schema)
-        index = Frame.index_for(op.schema.names)
+        index = Frame.index_for(op.schema)
 
         if self.force_nested_loop:
             condition = None if op.condition == TRUE else op.condition
@@ -435,22 +434,15 @@ class _Lowerer:
         """
         found: list[SublinkPlan] = []
         for expr in exprs:
-            self._walk_sublinks(expr, found)
+            for sublink in collect_sublinks(expr):
+                existing = self.registry.get(id(sublink.query))
+                if existing is None:
+                    cls = SubPlanSublink if sublink.correlated \
+                        else InitPlanSublink
+                    existing = self.registry[id(sublink.query)] = cls(
+                        sublink, sublink.query, self.lower(sublink.query))
+                found.append(existing)
         return tuple(found)
-
-    def _walk_sublinks(self, expr: Expr,
-                       found: list[SublinkPlan]) -> None:
-        if isinstance(expr, Sublink):
-            existing = self.registry.get(id(expr.query))
-            if existing is None:
-                plan = self.lower(expr.query)
-                cls = SubPlanSublink if is_correlated(expr.query) \
-                    else InitPlanSublink
-                existing = cls(expr, expr.query, plan)
-                self.registry[id(expr.query)] = existing
-            found.append(existing)
-        for child in expr.children():
-            self._walk_sublinks(child, found)
 
 
 def _may_raise(expr: Expr) -> bool:
@@ -458,10 +450,12 @@ def _may_raise(expr: Expr) -> bool:
     modulo (by zero), casts (conversion errors), function calls and
     sublinks (a scalar sublink raises on a multi-row result, and a
     correlated query evaluates its own expressions per outer row)."""
-    for node in walk(expr, into_sublinks=True):
+    if expr.has_sublink:
+        return True
+    for node in walk(expr):
         if isinstance(node, Arith) and node.op in ("/", "%"):
             return True
-        if isinstance(node, (Cast, FuncCall, Sublink)):
+        if isinstance(node, (Cast, FuncCall)):
             return True
     return False
 

@@ -42,13 +42,11 @@ from ..expressions.ast import (
 from ..algebra.operators import (
     Join, JoinKind, Operator, Project, Select,
 )
-from ..algebra.trees import transform_expressions
+from ..algebra.trees import map_sublink_queries, rebuild
+from ..catalog import Catalog
+from .cost import CardinalityEstimator
 
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from ..catalog import Catalog
-    from .cost import CardinalityEstimator
+from typing import AbstractSet, Sequence
 
 
 def scope_column_names(expr: Expr, boundary: int = 0) -> set[str]:
@@ -67,84 +65,43 @@ def _collect_scope_names(expr: Expr, boundary: int,
     for child in expr.children():
         _collect_scope_names(child, boundary, names)
     if isinstance(expr, Sublink):
-        _collect_op_scope_names(expr.query, boundary + 1, names)
+        names.update(name for name, level in expr.outer_refs
+                     if level == boundary)
 
 
-def _collect_op_scope_names(op: Operator, boundary: int,
-                            names: set[str]) -> None:
-    for expr in op.expressions():
-        _collect_scope_names(expr, boundary, names)
-    for child in op.children():
-        _collect_op_scope_names(child, boundary, names)
-
-
-def _substitute_renames(expr: Expr, mapping: dict[str, str],
-                        boundary: int = 0) -> Expr:
-    """Rewrite scope-level column references through a rename map,
-    descending into sublink queries with the boundary raised."""
+def _substitute_renames(expr: Expr, mapping: dict[str, str]) -> Expr:
+    """Rewrite the level-0 column references of a sublink-free
+    expression through a rename map."""
     if isinstance(expr, Col):
-        if expr.level == boundary and expr.name in mapping:
-            return Col(mapping[expr.name], expr.level)
+        if expr.level == 0 and expr.name in mapping:
+            return Col(mapping[expr.name])
         return expr
-    new_children = [
-        _substitute_renames(child, mapping, boundary)
-        for child in expr.children()]
-    if new_children != list(expr.children()):
-        expr = expr.replace_children(new_children)
-    if isinstance(expr, Sublink):
-        new_query = _substitute_op_renames(expr.query, mapping, boundary + 1)
-        if new_query is not expr.query:
-            expr = Sublink(expr.kind, new_query, expr.op, expr.test)
-    return expr
+    return rebuild(expr, [_substitute_renames(child, mapping)
+                          for child in expr.children()])
 
 
-def _substitute_op_renames(op: Operator, mapping: dict[str, str],
-                           boundary: int) -> Operator:
-    new_children = [
-        _substitute_op_renames(child, mapping, boundary)
-        for child in op.children()]
-    if list(op.children()) != new_children:
-        op = op.replace_children(new_children)
-    exprs = op.expressions()
-    if exprs:
-        new_exprs = [_substitute_renames(e, mapping, boundary)
-                     for e in exprs]
-        if list(exprs) != new_exprs:
-            op = op.replace_expressions(new_exprs)
-    return op
-
-
-def _contains_sublink(expr: Expr) -> bool:
-    if isinstance(expr, Sublink):
-        return True
-    return any(_contains_sublink(child) for child in expr.children())
-
-
-def _push_conjunct(op: Operator, conjunct: Expr) -> Operator | None:
-    """Try to absorb *conjunct* into *op*'s subtree; None if impossible."""
-    needed = scope_column_names(conjunct)
-    if not needed:
-        return None  # constant predicates stay put
-
+def _push_conjunct(op: Operator, conjunct: Expr,
+                   needed: AbstractSet[str]) -> Operator | None:
+    """Try to absorb *conjunct*, which reads the (non-empty set of)
+    columns *needed* at its own scope, into *op*'s subtree; None if
+    impossible."""
     if isinstance(op, Select):
-        pushed = _push_conjunct(op.input, conjunct)
+        pushed = _push_conjunct(op.input, conjunct, needed)
         if pushed is not None:
             return Select(pushed, op.condition)
         return Select(op.input, and_all([op.condition, conjunct]))
 
     if isinstance(op, Join):
-        left_names = set(op.left.schema.names)
-        right_names = set(op.right.schema.names)
+        left_names = op.left.schema.index.keys()
+        right_names = op.right.schema.index.keys()
         if needed <= left_names:
-            pushed = _push_conjunct(op.left, conjunct)
-            if pushed is None:
-                pushed = Select(op.left, conjunct)
-            return Join(pushed, op.right, op.condition, op.kind)
+            pushed = _push_conjunct(op.left, conjunct, needed) \
+                or Select(op.left, conjunct)
+            return op.replace_children([pushed, op.right])
         if needed <= right_names and op.kind != JoinKind.LEFT:
-            pushed = _push_conjunct(op.right, conjunct)
-            if pushed is None:
-                pushed = Select(op.right, conjunct)
-            return Join(op.left, pushed, op.condition, op.kind)
+            pushed = _push_conjunct(op.right, conjunct, needed) \
+                or Select(op.right, conjunct)
+            return op.replace_children([op.left, pushed])
         if op.kind in (JoinKind.INNER, JoinKind.CROSS) and \
                 needed <= left_names | right_names:
             condition = and_all([op.condition, conjunct]) \
@@ -153,18 +110,20 @@ def _push_conjunct(op: Operator, conjunct: Expr) -> Operator | None:
         return None
 
     if isinstance(op, Project) and not op.distinct \
-            and not _contains_sublink(conjunct):
+            and not conjunct.has_sublink:
         mapping: dict[str, str] = {}
-        for name, expr in op.items:
-            if isinstance(expr, Col) and expr.level == 0:
-                mapping[name] = expr.name
-        if needed <= set(mapping):
-            rewritten = _substitute_renames(conjunct, mapping)
-            pushed = _push_conjunct(op.input, rewritten)
-            if pushed is None:
-                pushed = Select(op.input, rewritten)
-            return Project(pushed, op.items, op.distinct)
-        return None
+        positions = op.schema.index
+        for name in needed:
+            expr = op.exprs[positions[name]] if name in positions \
+                else None
+            if not (isinstance(expr, Col) and expr.level == 0):
+                return None
+            mapping[name] = expr.name
+        rewritten = _substitute_renames(conjunct, mapping)
+        renamed = set(mapping.values())
+        pushed = _push_conjunct(op.input, rewritten, renamed) \
+            or Select(op.input, rewritten)
+        return op.replace_children([pushed])
 
     return None
 
@@ -179,52 +138,41 @@ def _optimize_node(op: Operator) -> Operator:
             input_op = input_op.input
         remaining: list[Expr] = []
         for conjunct in conjuncts:
-            pushed = _push_conjunct(input_op, conjunct)
+            needed = scope_column_names(conjunct)
+            # constant predicates stay put
+            pushed = _push_conjunct(input_op, conjunct, needed) \
+                if needed else None
             if pushed is None:
                 remaining.append(conjunct)
             else:
                 input_op = pushed
-        if remaining:
-            return Select(input_op, and_all(remaining))
-        return input_op
+        if not remaining:
+            return input_op
+        condition = and_all(remaining)
+        if input_op is op.input and condition == op.condition:
+            return op       # nothing moved
+        return Select(input_op, condition)
     return op
 
 
-def optimize(op: Operator, catalog: Catalog | None = None) -> Operator:
-    """Optimize an operator tree (bottom-up, including sublink queries).
+def optimize(op: Operator, catalog: Catalog | None = None,
+             estimator: CardinalityEstimator | None = None) -> Operator:
+    """Optimize an operator tree (bottom-up, including sublink queries);
+    *op* itself comes back when no rule applies.
 
     With *catalog*, a cost-based join-ordering pass runs after the
-    rule-based rewrites (see the module docstring)."""
+    rule-based rewrites (see the module docstring), pricing with
+    *estimator* when the caller already has one for this statement."""
     op = _optimize_tree(op)
     if catalog is not None:
-        from .cost import CardinalityEstimator
-        op = _reorder_joins(op, CardinalityEstimator(catalog))
+        op = _reorder_joins(op, estimator or CardinalityEstimator(catalog))
     return op
 
 
 def _optimize_tree(op: Operator) -> Operator:
-    new_children = [_optimize_tree(child) for child in op.children()]
-    if list(op.children()) != new_children:
-        op = op.replace_children(new_children)
-
-    exprs = op.expressions()
-    if exprs:
-        new_exprs = [_optimize_expr_sublinks(e) for e in exprs]
-        if list(exprs) != new_exprs:
-            op = op.replace_expressions(new_exprs)
-    return _optimize_node(op)
-
-
-def _optimize_expr_sublinks(expr: Expr) -> Expr:
-    new_children = [
-        _optimize_expr_sublinks(child) for child in expr.children()]
-    if new_children != list(expr.children()):
-        expr = expr.replace_children(new_children)
-    if isinstance(expr, Sublink):
-        optimized = _optimize_tree(expr.query)
-        if optimized is not expr.query:
-            expr = Sublink(expr.kind, optimized, expr.op, expr.test)
-    return expr
+    return _optimize_node(rebuild(
+        op, [_optimize_tree(child) for child in op.children()],
+        [map_sublink_queries(e, _optimize_tree) for e in op.expressions()]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,49 +199,36 @@ def _reorder_joins(op: Operator, estimator: CardinalityEstimator) -> Operator:
         if conjuncts:
             rebuilt = Select(rebuilt, and_all(conjuncts))
             rebuilt = _optimize_node(rebuilt)   # refold join conditions
+        if isinstance(rebuilt, Join) and rebuilt.kind == op.kind \
+                and rebuilt.left is op.left and rebuilt.right is op.right \
+                and rebuilt.condition == op.condition:
+            return op       # refolded into the join it was
         return rebuilt
 
-    new_children = [_reorder_joins(child, estimator)
-                    for child in op.children()]
-    if list(op.children()) != new_children:
-        op = op.replace_children(new_children)
-    exprs = op.expressions()
-    if exprs:
-        new_exprs = [_reorder_expr(expr, estimator) for expr in exprs]
-        if list(exprs) != new_exprs:
-            op = op.replace_expressions(new_exprs)
-    return op
-
-
-def _reorder_expr(expr: Expr, estimator: CardinalityEstimator) -> Expr:
-    new_children = [_reorder_expr(child, estimator)
-                    for child in expr.children()]
-    if new_children != list(expr.children()):
-        expr = expr.replace_children(new_children)
-    if isinstance(expr, Sublink):
-        reordered = _reorder_joins(expr.query, estimator)
-        if reordered is not expr.query:
-            expr = Sublink(expr.kind, reordered, expr.op, expr.test)
-    return expr
+    def reorder(query: Operator) -> Operator:
+        return _reorder_joins(query, estimator)
+    return rebuild(op, [reorder(child) for child in op.children()],
+                   [map_sublink_queries(e, reorder) for e in op.expressions()])
 
 
 def _flatten_chain(op: Join) -> tuple[list[Operator], list[Expr]]:
     """Leaves and pooled condition conjuncts of a maximal inner/cross
-    join chain (LEFT joins and non-join operators stay atomic leaves)."""
+    join chain (LEFT joins and non-join operators stay atomic leaves),
+    in the order a post-order walk meets them."""
     relations: list[Operator] = []
     conjuncts: list[Expr] = []
-
-    def collect(node: Operator) -> None:
-        if isinstance(node, Join) and \
-                node.kind in (JoinKind.INNER, JoinKind.CROSS):
-            collect(node.left)
-            collect(node.right)
-            if node.condition != TRUE:
-                conjuncts.extend(conjuncts_of(node.condition))
-        else:
+    # (node, its children already walked) — an explicit stack: a
+    # recursive local function would be a reference cycle per call
+    stack: list[tuple[Operator, bool]] = [(op, False)]
+    while stack:
+        node, walked = stack.pop()
+        if not (isinstance(node, Join) and
+                node.kind in (JoinKind.INNER, JoinKind.CROSS)):
             relations.append(node)
-
-    collect(op)
+        elif not walked:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        elif node.condition != TRUE:
+            conjuncts.extend(conjuncts_of(node.condition))
     return relations, conjuncts
 
 
@@ -312,8 +247,8 @@ def _greedy_chain(relations: list[Operator], conjuncts: list[Expr],
     while remaining:
         best = None
         for relation in remaining:
-            visible = set(current.schema.names) \
-                | set(relation.schema.names)
+            visible = current.schema.index.keys() \
+                | relation.schema.index.keys()
             applicable = [
                 position for position, (_, needed) in enumerate(pool)
                 if position not in used and needed and needed <= visible]

@@ -189,12 +189,6 @@ def partition_map(rows: list, position: int,
     return buckets
 
 
-def clear_partition_cache() -> None:
-    """Drop every cached partition map (tests and benchmarks)."""
-    with _map_lock:
-        _MAP_CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # Serial partition pruning
 # ---------------------------------------------------------------------------
@@ -896,8 +890,7 @@ def _scan_pipeline(node: PhysicalOperator
             steps.append(("filter", current.condition, current.index))
             current = current.child
         elif isinstance(current, Project) and not current.distinct:
-            exprs = tuple(expr for _, expr in current.items)
-            steps.append(("project", exprs, current.index))
+            steps.append(("project", current.exprs, current.index))
             saw_project = True
             current = current.child
         else:

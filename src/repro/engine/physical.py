@@ -40,7 +40,7 @@ from ..expressions.compiler import (
 )
 from ..expressions.evaluator import EvalContext, Frame, evaluate
 from ..expressions.aggregates import make_accumulator
-from ..expressions.printer import format_expr
+from ..expressions.printer import format_expr, format_items
 from ..algebra.operators import JoinKind, SetOpKind, SortKey
 from ..relation import Relation
 from ..schema import Schema
@@ -199,7 +199,7 @@ class SeqScan(PhysicalOperator):
         self.table = table
         self.alias = alias
         self.names = names
-        self._rows: list[tuple] = []
+        self._rows: Sequence[tuple] = ()
         self._pos = 0
 
     def _reset(self) -> None:
@@ -207,7 +207,7 @@ class SeqScan(PhysicalOperator):
         self._pos = 0
 
     def _release(self) -> None:
-        self._rows = []
+        self._rows = ()
 
     def next_batch(self) -> list | None:
         if self._pos >= len(self._rows):
@@ -390,13 +390,16 @@ class Project(PhysicalOperator):
     """Streaming projection; ``distinct`` keeps first occurrences across
     the whole stream (bag -> set projection)."""
 
-    __slots__ = ("child", "items", "distinct", "index", "_fn", "_seen")
+    __slots__ = ("child", "names", "exprs", "distinct", "index", "_fn",
+                 "_seen")
 
-    def __init__(self, child: PhysicalOperator, items: tuple,
-                 distinct: bool, index: dict[str, int]) -> None:
+    def __init__(self, child: PhysicalOperator, names: tuple[str, ...],
+                 exprs: tuple[Expr, ...], distinct: bool,
+                 index: dict[str, int]) -> None:
         super().__init__()
         self.child = child
-        self.items = items
+        self.names = names      # the logical projection's own tuples
+        self.exprs = exprs
         self.distinct = distinct
         self.index = index
         self._fn = None
@@ -410,8 +413,7 @@ class Project(PhysicalOperator):
 
     def _projector(self) -> BatchProjector:
         if self._fn is None:
-            self._fn = compile_batch_projector(
-                tuple(expr for _, expr in self.items), self.index)
+            self._fn = compile_batch_projector(self.exprs, self.index)
         return self._fn
 
     def next_batch(self) -> list | None:
@@ -435,9 +437,7 @@ class Project(PhysicalOperator):
 
     def label(self) -> str:
         kind = "Distinct" if self.distinct else "Project"
-        items = ", ".join(
-            f"{format_expr(expr)} AS {name}" for name, expr in self.items)
-        return f"{kind} [{items}]"
+        return f"{kind} [{format_items(zip(self.names, self.exprs))}]"
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +851,8 @@ class HashAggregate(PhysicalOperator):
         return batch
 
     def label(self) -> str:
-        aggs = ", ".join(
-            f"{format_expr(call)} AS {name}"
-            for name, call in self.aggregates)
-        return f"HashAggregate group={list(self.group)} [{aggs}]"
+        return (f"HashAggregate group={list(self.group)} "
+                f"[{format_items(self.aggregates)}]")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from ..expressions.ast import Col, Expr
 from ..expressions.compiler import (
     VectorPredicate, compile_vector_predicate, compile_vector_values,
 )
-from ..expressions.printer import format_expr
+from ..expressions.printer import format_expr, format_items
 from .columnar import Column, ColumnBatch, column_from_values, table_columns
 from .physical import (
     Filter, HashAggregate, HashJoin, NestedLoopJoin, PhysicalOperator,
@@ -227,14 +227,15 @@ class VProject(VectorOperator):
     the column list and keep the selection (zero copies); computed items
     produce dense vectors through value kernels."""
 
-    __slots__ = ("child", "items", "distinct", "plan", "_positions",
-                 "_seen")
+    __slots__ = ("child", "names", "exprs", "distinct", "plan",
+                 "_positions", "_seen")
 
-    def __init__(self, child: PhysicalOperator, items: tuple,
+    def __init__(self, child: PhysicalOperator, names: tuple, exprs: tuple,
                  distinct: bool, plan: list) -> None:
         super().__init__()
         self.child = child
-        self.items = items
+        self.names = names
+        self.exprs = exprs
         self.distinct = distinct
         self.plan = plan
         if all(tag == "col" for tag, _ in plan):
@@ -285,9 +286,7 @@ class VProject(VectorOperator):
 
     def label(self) -> str:
         kind = "Distinct" if self.distinct else "Project"
-        items = ", ".join(
-            f"{format_expr(expr)} AS {name}" for name, expr in self.items)
-        return f"{kind} [{items}]"
+        return f"{kind} [{format_items(zip(self.names, self.exprs))}]"
 
 
 class VHashJoin(VectorOperator):
@@ -606,10 +605,8 @@ class VHashAggregate(VectorOperator):
             rows, len(self.group) + len(self.aggregates))
 
     def label(self) -> str:
-        aggs = ", ".join(
-            f"{format_expr(call)} AS {name}"
-            for name, call in self.aggregates)
-        return f"HashAggregate group={list(self.group)} [{aggs}]"
+        return (f"HashAggregate group={list(self.group)} "
+                f"[{format_items(self.aggregates)}]")
 
 
 class VNestedLoopJoin(VectorOperator):
@@ -1004,7 +1001,7 @@ def _vectorize(node: PhysicalOperator) -> tuple[PhysicalOperator | None, bool]:
         if vchild is not None:
             plan: list = []
             supported = True
-            for _, expr in node.items:
+            for expr in node.exprs:
                 if isinstance(expr, Col) and expr.level == 0 \
                         and expr.name in node.index:
                     plan.append(("col", node.index[expr.name]))
@@ -1015,7 +1012,8 @@ def _vectorize(node: PhysicalOperator) -> tuple[PhysicalOperator | None, bool]:
                     break
                 plan.append(("kernel", kernel))
             if supported:
-                vector = VProject(vchild, node.items, node.distinct, plan)
+                vector = VProject(vchild, node.names, node.exprs,
+                                  node.distinct, plan)
                 _copy_est(vector, node)
                 return vector, True
         node.child = _bridge_to_rows(node.child, vchild, ccompute)

@@ -24,13 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 
 class Expr:
     """Base class of all expression nodes."""
 
     __slots__ = ()
+
+    #: Whether a :class:`Sublink` sits in this expression (not inside a
+    #: sublink's query): walkers after sublinks skip every other subtree.
+    has_sublink = False
 
     def children(self) -> tuple["Expr", ...]:
         """Direct sub-expressions (excluding sublink query trees)."""
@@ -50,6 +54,18 @@ class Expr:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .printer import format_expr
         return format_expr(self)
+
+
+class _Composite(Expr):
+    """A node with children: ``has_sublink`` is set from theirs."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        for child in self.children():
+            if child.has_sublink:
+                object.__setattr__(self, "has_sublink", True)
+                return
 
 
 @dataclass(eq=True, frozen=True, repr=False)
@@ -87,7 +103,7 @@ class Param(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Comparison(Expr):
+class Comparison(_Composite):
     """``left op right`` with op in ``= <> < <= > >=`` (3VL result)."""
 
     op: str
@@ -102,7 +118,7 @@ class Comparison(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class NullSafeEq(Expr):
+class NullSafeEq(_Composite):
     """The paper's ``=n``: NULL equals NULL, always two-valued."""
 
     left: Expr
@@ -116,7 +132,7 @@ class NullSafeEq(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class BoolOp(Expr):
+class BoolOp(_Composite):
     """N-ary Kleene conjunction/disjunction; ``op`` is ``and``/``or``."""
 
     op: str
@@ -176,7 +192,7 @@ def or_all(items: Iterable[Expr]) -> Expr:
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Not(Expr):
+class Not(_Composite):
     """Kleene negation."""
 
     operand: Expr
@@ -189,7 +205,7 @@ class Not(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class IsNull(Expr):
+class IsNull(_Composite):
     """``operand IS NULL`` (two-valued)."""
 
     operand: Expr
@@ -202,7 +218,7 @@ class IsNull(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Arith(Expr):
+class Arith(_Composite):
     """Binary arithmetic / concatenation: ``+ - * / % ||``."""
 
     op: str
@@ -217,7 +233,7 @@ class Arith(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Neg(Expr):
+class Neg(_Composite):
     """Unary minus."""
 
     operand: Expr
@@ -230,7 +246,7 @@ class Neg(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class FuncCall(Expr):
+class FuncCall(_Composite):
     """A scalar function call, dispatched through the function registry."""
 
     name: str
@@ -244,7 +260,7 @@ class FuncCall(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Like(Expr):
+class Like(_Composite):
     """SQL ``LIKE`` with ``%``/``_`` wildcards (pattern is an expression)."""
 
     operand: Expr
@@ -258,7 +274,7 @@ class Like(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Cast(Expr):
+class Cast(_Composite):
     """``CAST(operand AS type_name)`` — best-effort dynamic cast."""
 
     operand: Expr
@@ -272,7 +288,7 @@ class Cast(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class Case(Expr):
+class Case(_Composite):
     """``CASE WHEN c1 THEN v1 ... [ELSE e] END`` (searched form)."""
 
     whens: tuple[tuple[Expr, Expr], ...]
@@ -293,7 +309,7 @@ class Case(Expr):
 
 
 @dataclass(eq=True, frozen=True, repr=False)
-class AggCall(Expr):
+class AggCall(_Composite):
     """An aggregate function call.
 
     Only valid in the aggregate list of an ``Aggregate`` operator (the
@@ -338,6 +354,24 @@ class Sublink(Expr):
     query: Any                      # algebra operator tree
     op: str | None = None           # comparison operator for ANY/ALL
     test: Expr | None = None        # left-hand expression for ANY/ALL
+    _outer_refs: frozenset | None = field(default=None, init=False)
+
+    has_sublink = True
+
+    @property
+    def outer_refs(self) -> frozenset[tuple[str, int]]:
+        """``(name, level)`` of every column ``query`` reads outside
+        itself, levels counted from this sublink's own scope (one walk of
+        the query, the first time it is asked)."""
+        if self._outer_refs is None:
+            from ..algebra.properties import outer_references
+            self._outer_refs = outer_references(self.query)
+        return self._outer_refs
+
+    @property
+    def correlated(self) -> bool:
+        """Whether ``query`` references an enclosing scope."""
+        return bool(self.outer_refs)
 
     def children(self):
         return (self.test,) if self.test is not None else ()
@@ -346,39 +380,35 @@ class Sublink(Expr):
         test = new[0] if new else None
         return Sublink(self.kind, self.query, self.op, test)
 
+    def with_query(self, query: Any, equivalent: bool = False) -> "Sublink":
+        """This sublink over *query* — itself when *query* is its own.
+        *equivalent* promises a copy or an optimized form of the query,
+        whose outer references are therefore known already."""
+        if query is self.query:
+            return self
+        new = Sublink(self.kind, query, self.op, self.test)
+        if equivalent:
+            new._outer_refs = self._outer_refs
+        return new
+
 
 # ---------------------------------------------------------------------------
 # Tree walking helpers
 # ---------------------------------------------------------------------------
 
-def walk(expr: Expr, into_sublinks: bool = False):
-    """Yield *expr* and all nodes below it (pre-order).
-
-    With ``into_sublinks=True``, also descends into the expressions of the
-    algebra trees hanging off :class:`Sublink` nodes.
-    """
+def walk(expr: Expr):
+    """Yield *expr* and all nodes below it (pre-order); sublink query
+    trees are not entered."""
     yield expr
     for child in expr.children():
-        yield from walk(child, into_sublinks)
-    if isinstance(expr, Sublink) and into_sublinks:
-        from ..algebra import trees
-        for inner in trees.iter_expressions(expr.query):
-            yield from walk(inner, into_sublinks)
-
-
-def transform(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
-    """Bottom-up rewrite: apply *fn* to every node, keeping nodes where
-    *fn* returns None.  Sublink query trees are not entered."""
-    new_children = [transform(child, fn) for child in expr.children()]
-    if new_children != list(expr.children()):
-        expr = expr.replace_children(new_children)
-    replacement = fn(expr)
-    return expr if replacement is None else replacement
+        yield from walk(child)
 
 
 def collect_sublinks(expr: Expr) -> list[Sublink]:
     """Top-level sublinks of *expr* (not those nested inside other sublink
     queries — the rewriter reaches those recursively)."""
+    if not expr.has_sublink:
+        return []
     return [node for node in walk(expr) if isinstance(node, Sublink)]
 
 

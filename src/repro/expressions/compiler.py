@@ -40,6 +40,7 @@ Two compilation surfaces:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from ..datatypes import (
@@ -51,50 +52,67 @@ from .ast import (
     AggCall, Arith, BoolOp, Case, Cast, Col, Comparison, Const, Expr,
     FuncCall, IsNull, Like, Neg, Not, NullSafeEq, Param, Sublink,
 )
-from .evaluator import EvalContext, _cast, _eval_sublink, _like_regex
+from .evaluator import (
+    EvalContext, Frame, _cast, _eval_sublink, _like_regex,
+)
 from .functions import SCALAR_FUNCTIONS
 
 Compiled = Callable[[EvalContext], Any]
 
 
-def compile_expr(expr: Expr) -> Compiled:
-    """Compile *expr* into a closure over an :class:`EvalContext`."""
+def compile_expr(expr: Expr,
+                 memo: dict[int, Compiled] | None = None) -> Compiled:
+    """Compile *expr* into a function of an :class:`EvalContext`.
+
+    A cached plan keeps hundreds of these alive and the collector walks
+    them all, so they are kept small: what a function needs is bound as
+    a default argument, not closed over (a cell per variable, each
+    gc-tracked), and *memo* (node identity -> function, for one
+    compilation) makes a subtree used several times — the tested value
+    of an ``IN`` list — one function.
+    """
+    if memo is None:
+        memo = {}
+    fn = memo.get(id(expr))
+    if fn is None:
+        fn = memo[id(expr)] = _compile_expr(expr, memo)
+    return fn
+
+
+def _compile_expr(expr: Expr, memo: dict[int, Compiled]) -> Compiled:
     if isinstance(expr, Const):
-        value = expr.value
-        return lambda ctx: value
+        return lambda ctx, value=expr.value: value
 
     if isinstance(expr, Param):
-        index = expr.index
-        return lambda ctx: ctx.param(index)
+        return lambda ctx, index=expr.index: ctx.param(index)
 
     if isinstance(expr, Col):
-        name = expr.name
-        level = expr.level
-        if level == 0:
-            def read_current(ctx: EvalContext) -> Any:
+        if expr.level == 0:
+            def read_current(ctx: EvalContext, name=expr.name) -> Any:
                 frame = ctx.frames[-1]
                 return frame.row[frame.index[name]]
             return read_current
 
-        def read_outer(ctx: EvalContext) -> Any:
+        def read_outer(ctx: EvalContext, name=expr.name,
+                       level=expr.level) -> Any:
             return ctx.lookup(name, level)
         return read_outer
 
     if isinstance(expr, Comparison):
-        op = expr.op
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
-        return lambda ctx: compare(op, left(ctx), right(ctx))
+        return lambda ctx, op=expr.op, \
+            left=compile_expr(expr.left, memo), \
+            right=compile_expr(expr.right, memo): \
+            compare(op, left(ctx), right(ctx))
 
     if isinstance(expr, NullSafeEq):
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
-        return lambda ctx: null_safe_equal(left(ctx), right(ctx))
+        return lambda ctx, left=compile_expr(expr.left, memo), \
+            right=compile_expr(expr.right, memo): \
+            null_safe_equal(left(ctx), right(ctx))
 
     if isinstance(expr, BoolOp):
-        items = [compile_expr(item) for item in expr.items]
+        items = tuple([compile_expr(item, memo) for item in expr.items])
         if expr.op == "and":
-            def conjunction(ctx: EvalContext) -> Any:
+            def conjunction(ctx: EvalContext, items=items) -> Any:
                 result: Any = True
                 for item in items:
                     value = item(ctx)
@@ -105,7 +123,7 @@ def compile_expr(expr: Expr) -> Compiled:
                 return result
             return conjunction
 
-        def disjunction(ctx: EvalContext) -> Any:
+        def disjunction(ctx: EvalContext, items=items) -> Any:
             result: Any = False
             for item in items:
                 value = item(ctx)
@@ -117,22 +135,22 @@ def compile_expr(expr: Expr) -> Compiled:
         return disjunction
 
     if isinstance(expr, Not):
-        operand = compile_expr(expr.operand)
-        return lambda ctx: tv_not(operand(ctx))
+        return lambda ctx, operand=compile_expr(expr.operand, memo): \
+            tv_not(operand(ctx))
 
     if isinstance(expr, IsNull):
-        operand = compile_expr(expr.operand)
-        return lambda ctx: operand(ctx) is None
+        return lambda ctx, operand=compile_expr(expr.operand, memo): \
+            operand(ctx) is None
 
     if isinstance(expr, Arith):
-        op = expr.op
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
-        return lambda ctx: arithmetic(op, left(ctx), right(ctx))
+        return lambda ctx, op=expr.op, \
+            left=compile_expr(expr.left, memo), \
+            right=compile_expr(expr.right, memo): \
+            arithmetic(op, left(ctx), right(ctx))
 
     if isinstance(expr, Neg):
-        operand = compile_expr(expr.operand)
-        return lambda ctx: negate(operand(ctx))
+        return lambda ctx, operand=compile_expr(expr.operand, memo): \
+            negate(operand(ctx))
 
     if isinstance(expr, FuncCall):
         try:
@@ -140,23 +158,23 @@ def compile_expr(expr: Expr) -> Compiled:
         except KeyError:
             raise ExpressionError(
                 f"unknown function {expr.name!r}") from None
-        args = [compile_expr(arg) for arg in expr.args]
+        args = tuple([compile_expr(arg, memo) for arg in expr.args])
 
-        def call(ctx: EvalContext) -> Any:
+        def call(ctx: EvalContext, fn=fn, args=args,
+                 name=expr.name) -> Any:
             try:
                 return fn(*[arg(ctx) for arg in args])
             except ExpressionError:
                 raise
             except Exception as exc:
                 raise ExpressionError(
-                    f"error in {expr.name}: {exc}") from exc
+                    f"error in {name}: {exc}") from exc
         return call
 
     if isinstance(expr, Like):
-        operand = compile_expr(expr.operand)
-        pattern = compile_expr(expr.pattern)
-
-        def like(ctx: EvalContext) -> Any:
+        def like(ctx: EvalContext,
+                 operand=compile_expr(expr.operand, memo),
+                 pattern=compile_expr(expr.pattern, memo)) -> Any:
             value = operand(ctx)
             text = pattern(ctx)
             if value is None or text is None:
@@ -165,16 +183,15 @@ def compile_expr(expr: Expr) -> Compiled:
         return like
 
     if isinstance(expr, Cast):
-        operand = compile_expr(expr.operand)
-        type_name = expr.type_name
-        return lambda ctx: _cast(operand(ctx), type_name)
+        return lambda ctx, operand=compile_expr(expr.operand, memo), \
+            type_name=expr.type_name: _cast(operand(ctx), type_name)
 
     if isinstance(expr, Case):
-        whens = [(compile_expr(cond), compile_expr(value))
-                 for cond, value in expr.whens]
-        default = compile_expr(expr.default)
+        whens = tuple([(compile_expr(cond, memo), compile_expr(value, memo))
+                       for cond, value in expr.whens])
 
-        def case(ctx: EvalContext) -> Any:
+        def case(ctx: EvalContext, whens=whens,
+                 default=compile_expr(expr.default, memo)) -> Any:
             for condition, value in whens:
                 if is_true(condition(ctx)):
                     return value(ctx)
@@ -182,8 +199,7 @@ def compile_expr(expr: Expr) -> Compiled:
         return case
 
     if isinstance(expr, Sublink):
-        node = expr
-        return lambda ctx: _eval_sublink(node, ctx)
+        return lambda ctx, node=expr: _eval_sublink(node, ctx)
 
     if isinstance(expr, AggCall):
         raise ExpressionError(
@@ -199,7 +215,7 @@ def compile_expr(expr: Expr) -> Compiled:
 #: A row-specialized evaluator: positions resolved at compile time where
 #: possible.  The second element reports whether the closure reads the
 #: EvalContext (outer frames, parameters, sublinks, name-indexed lookups).
-RowCompiled = Callable[[tuple, "EvalContext | None"], Any]
+RowCompiled = Callable[..., Any]
 
 #: Comparison dispatch hoisted to compile time (vs the string-op chain
 #: :func:`repro.datatypes.compare` walks per call).
@@ -217,10 +233,16 @@ BatchFilter = Callable[..., list]
 BatchProjector = Callable[..., list]
 BatchValues = Callable[..., list]
 
+#: ``(fn, needs_ctx, is_const)`` per compiled node.
+_RowResult = tuple[RowCompiled, bool, bool]
+#: One row compilation: the input's name index, then the identity memos
+#: of the row and of the scalar compiler (see :func:`compile_expr`).
+_RowEnv = tuple[dict[str, int], dict[int, _RowResult], dict[int, Compiled]]
+
 
 def compile_row(expr: Expr,
                 index: dict[str, int]) -> tuple[RowCompiled, bool]:
-    """Compile *expr* into a ``(row, ctx) -> value`` closure against the
+    """Compile *expr* into a ``(row, ctx) -> value`` function against the
     name->position *index* of the operator's input schema.
 
     Level-0 column references become direct positional reads, pure
@@ -231,38 +253,43 @@ def compile_row(expr: Expr,
     :func:`compile_expr` over the mutable frame the batch wrappers
     maintain — semantics stay identical.
     """
-    fn, needs_ctx, _ = _compile_row(expr, index)
+    fn, needs_ctx, _ = _compile_row(expr, (index, {}, {}))
     return fn, needs_ctx
 
 
 def _fold(fn: RowCompiled) -> RowCompiled:
     """Evaluate a constant subtree once; on error keep the original
-    closure so the exception still surfaces at evaluation time."""
+    function so the exception still surfaces at evaluation time."""
     try:
         value = fn(None, None)
     except Exception:
         return fn
-    return lambda row, ctx: value
+    return lambda row, ctx, value=value: value
 
 
-def _compile_row(expr: Expr, index: dict[str, int]
-                 ) -> tuple[RowCompiled, bool, bool]:
-    """Returns ``(fn, needs_ctx, is_const)``."""
+def _compile_row(expr: Expr, env: _RowEnv) -> _RowResult:
+    memo = env[1]
+    result = memo.get(id(expr))
+    if result is None:
+        result = memo[id(expr)] = _compile_row_node(expr, env)
+    return result
+
+
+def _compile_row_node(expr: Expr, env: _RowEnv) -> _RowResult:
+    index = env[0]
     if isinstance(expr, Const):
-        value = expr.value
-        return (lambda row, ctx: value), False, True
+        return (lambda row, ctx, value=expr.value: value), False, True
 
     if isinstance(expr, Col) and expr.level == 0 and expr.name in index:
-        position = index[expr.name]
-        return (lambda row, ctx: row[position]), False, False
+        return (lambda row, ctx, position=index[expr.name]: row[position]), \
+            False, False
 
     if isinstance(expr, Comparison):
-        apply = _COMPARE_OPS[expr.op]
-        op = expr.op
-        left, left_ctx, left_const = _compile_row(expr.left, index)
-        right, right_ctx, right_const = _compile_row(expr.right, index)
+        left, left_ctx, left_const = _compile_row(expr.left, env)
+        right, right_ctx, right_const = _compile_row(expr.right, env)
 
-        def comparison(row: tuple, ctx: Any) -> Any:
+        def comparison(row: tuple, ctx: Any, left=left, right=right,
+                       apply=_COMPARE_OPS[expr.op], op=expr.op) -> Any:
             a = left(row, ctx)
             b = right(row, ctx)
             if a is None or b is None:
@@ -279,21 +306,21 @@ def _compile_row(expr: Expr, index: dict[str, int]
         return comparison, needs_ctx, False
 
     if isinstance(expr, NullSafeEq):
-        left, left_ctx, left_const = _compile_row(expr.left, index)
-        right, right_ctx, right_const = _compile_row(expr.right, index)
-        fn = lambda row, ctx: null_safe_equal(  # noqa: E731
-            left(row, ctx), right(row, ctx))
+        left, left_ctx, left_const = _compile_row(expr.left, env)
+        right, right_ctx, right_const = _compile_row(expr.right, env)
+        fn = lambda row, ctx, left=left, right=right: \
+            null_safe_equal(left(row, ctx), right(row, ctx))  # noqa: E731
         if left_const and right_const:
             return _fold(fn), left_ctx or right_ctx, True
         return fn, left_ctx or right_ctx, False
 
     if isinstance(expr, BoolOp):
-        compiled = [_compile_row(item, index) for item in expr.items]
-        items = [fn for fn, _, _ in compiled]
+        compiled = [_compile_row(item, env) for item in expr.items]
+        items = tuple([fn for fn, _, _ in compiled])
         needs_ctx = any(flag for _, flag, _ in compiled)
         is_const = all(flag for _, _, flag in compiled)
         if expr.op == "and":
-            def conjunction(row: tuple, ctx: Any) -> Any:
+            def conjunction(row: tuple, ctx: Any, items=items) -> Any:
                 result: Any = True
                 for item in items:
                     value = item(row, ctx)
@@ -304,7 +331,7 @@ def _compile_row(expr: Expr, index: dict[str, int]
                 return result
             combined = conjunction
         else:
-            def disjunction(row: tuple, ctx: Any) -> Any:
+            def disjunction(row: tuple, ctx: Any, items=items) -> Any:
                 result: Any = False
                 for item in items:
                     value = item(row, ctx)
@@ -318,52 +345,41 @@ def _compile_row(expr: Expr, index: dict[str, int]
             return _fold(combined), needs_ctx, True
         return combined, needs_ctx, False
 
-    if isinstance(expr, Not):
-        operand, needs_ctx, is_const = _compile_row(expr.operand, index)
-        fn = lambda row, ctx: tv_not(operand(row, ctx))  # noqa: E731
-        if is_const:
-            return _fold(fn), needs_ctx, True
-        return fn, needs_ctx, False
-
-    if isinstance(expr, IsNull):
-        operand, needs_ctx, is_const = _compile_row(expr.operand, index)
-        fn = lambda row, ctx: operand(row, ctx) is None  # noqa: E731
+    if isinstance(expr, (Not, IsNull, Neg)):
+        operand, needs_ctx, is_const = _compile_row(expr.operand, env)
+        if isinstance(expr, Not):
+            fn = lambda row, ctx, operand=operand: \
+                tv_not(operand(row, ctx))  # noqa: E731
+        elif isinstance(expr, IsNull):
+            fn = lambda row, ctx, operand=operand: \
+                operand(row, ctx) is None  # noqa: E731
+        else:
+            fn = lambda row, ctx, operand=operand: \
+                negate(operand(row, ctx))  # noqa: E731
         if is_const:
             return _fold(fn), needs_ctx, True
         return fn, needs_ctx, False
 
     if isinstance(expr, Arith):
-        op = expr.op
-        left, left_ctx, left_const = _compile_row(expr.left, index)
-        right, right_ctx, right_const = _compile_row(expr.right, index)
-        fn = lambda row, ctx: arithmetic(  # noqa: E731
-            op, left(row, ctx), right(row, ctx))
+        left, left_ctx, left_const = _compile_row(expr.left, env)
+        right, right_ctx, right_const = _compile_row(expr.right, env)
+        fn = lambda row, ctx, op=expr.op, left=left, right=right: \
+            arithmetic(op, left(row, ctx), right(row, ctx))  # noqa: E731
         if left_const and right_const:
             return _fold(fn), left_ctx or right_ctx, True
         return fn, left_ctx or right_ctx, False
 
-    if isinstance(expr, Neg):
-        operand, needs_ctx, is_const = _compile_row(expr.operand, index)
-        fn = lambda row, ctx: negate(operand(row, ctx))  # noqa: E731
-        if is_const:
-            return _fold(fn), needs_ctx, True
-        return fn, needs_ctx, False
-
     # Everything stateful or rare (sublinks, outer/unknown columns,
     # parameters, CASE, LIKE, casts, function calls) goes through the
     # reference compiler against the mutable batch frame.
-    scalar = compile_expr(expr)
-    return (lambda row, ctx: scalar(ctx)), True, False
+    return (lambda row, ctx, scalar=compile_expr(expr, env[2]):
+            scalar(ctx)), True, False
 
 
-def _batch_state(index: dict[str, int]):
-    """A reusable (frame, context-factory) pair for one batch call."""
-    from .evaluator import EvalContext, Frame
-
-    def make(frames, runner, params):
-        frame = Frame(index, None)
-        return frame, EvalContext((*frames, frame), runner, params)
-    return make
+def _make_state(index: dict[str, int], frames, runner, params):
+    """A reusable (frame, context) pair for one batch call."""
+    frame = Frame(index, None)
+    return frame, EvalContext((*frames, frame), runner, params)
 
 
 def compile_batch_predicate(expr: Expr,
@@ -372,15 +388,14 @@ def compile_batch_predicate(expr: Expr,
 
     WHERE semantics: a row survives iff the predicate is definitely true.
     """
-    make_state = _batch_state(index)
     fn, needs_ctx = compile_row(expr, index)
     if not needs_ctx:
-        def run_free(rows, frames, runner, params):
+        def run_free(rows, frames, runner, params, fn=fn):
             return [row for row in rows if is_true(fn(row, None))]
         return run_free
 
-    def run(rows, frames, runner, params):
-        frame, ctx = make_state(frames, runner, params)
+    def run(rows, frames, runner, params, fn=fn, index=index):
+        frame, ctx = _make_state(index, frames, runner, params)
         out = []
         for row in rows:
             frame.row = row
@@ -407,28 +422,24 @@ def compile_batch_projector(exprs: Sequence[Expr],
         if positions == tuple(range(len(index))):
             return lambda rows, frames, runner, params: rows
         if len(positions) == 1:
-            position = positions[0]
-            return lambda rows, frames, runner, params: [
-                (row[position],) for row in rows]
-        from operator import itemgetter
-        getter = itemgetter(*positions)
-        return lambda rows, frames, runner, params: \
-            [getter(row) for row in rows]
+            return lambda rows, frames, runner, params, \
+                position=positions[0]: [(row[position],) for row in rows]
+        return lambda rows, frames, runner, params, \
+            getter=itemgetter(*positions): [getter(row) for row in rows]
 
-    make_state = _batch_state(index)
     compiled = [compile_row(expr, index) for expr in exprs]
-    fns = [fn for fn, _ in compiled]
+    fns = tuple([fn for fn, _ in compiled])
     if not any(flag for _, flag in compiled):
-        def run_free(rows, frames, runner, params):
-            return [tuple(fn(row, None) for fn in fns) for row in rows]
+        def run_free(rows, frames, runner, params, fns=fns):
+            return [tuple([fn(row, None) for fn in fns]) for row in rows]
         return run_free
 
-    def run(rows, frames, runner, params):
-        frame, ctx = make_state(frames, runner, params)
+    def run(rows, frames, runner, params, fns=fns, index=index):
+        frame, ctx = _make_state(index, frames, runner, params)
         out = []
         for row in rows:
             frame.row = row
-            out.append(tuple(fn(row, ctx) for fn in fns))
+            out.append(tuple([fn(row, ctx) for fn in fns]))
         return out
     return run
 
@@ -437,15 +448,14 @@ def compile_batch_values(expr: Expr,
                          index: dict[str, int]) -> BatchValues:
     """A ``(rows, frames, runner, params) -> list of values`` evaluator
     (one value per input row) for aggregate arguments and similar."""
-    make_state = _batch_state(index)
     fn, needs_ctx = compile_row(expr, index)
     if not needs_ctx:
-        def run_free(rows, frames, runner, params):
+        def run_free(rows, frames, runner, params, fn=fn):
             return [fn(row, None) for row in rows]
         return run_free
 
-    def run(rows, frames, runner, params):
-        frame, ctx = make_state(frames, runner, params)
+    def run(rows, frames, runner, params, fn=fn, index=index):
+        frame, ctx = _make_state(index, frames, runner, params)
         out = []
         for row in rows:
             frame.row = row

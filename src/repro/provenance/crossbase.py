@@ -14,7 +14,7 @@ CrossBase columns carry exactly the provenance attribute names that
 from __future__ import annotations
 
 from ..catalog import Catalog
-from ..expressions.ast import Col, TRUE
+from ..expressions.ast import TRUE
 from ..algebra.operators import (
     BaseRelation, Join, JoinKind, Operator, Project, SetOp, SetOpKind,
     Values,
@@ -34,7 +34,7 @@ def crossbase_piece(access: BaseAccess, catalog: Catalog,
         for name, attr in zip(scan_names, stored.schema))
     scan = BaseRelation(access.table, access.table, scan_schema)
     renamed = Project(
-        scan, [(prov, Col(src))
+        scan, [(prov, registry.col(src))
                for prov, src in zip(access.prov_names, scan_names)])
     null_row = Values(renamed.schema, [tuple([None] * len(renamed.schema))])
     return SetOp(SetOpKind.UNION, renamed, null_row, all=True)

@@ -32,7 +32,6 @@ from ..algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
     Select, SetOp, SetOpKind, Sort, Values,
 )
-from ..algebra.properties import contains_sublinks
 from ..relation import Relation
 from ..schema import Attribute, Schema
 from .influence import sublink_provenance_filter
@@ -225,7 +224,7 @@ class DirectProvenanceExecutor:
         return out, accesses
 
     def _eval_join(self, op: Join, frames: Frames):
-        if contains_sublinks(op.condition):
+        if op.condition.has_sublink:
             raise RewriteError(
                 "direct provenance: sublinks in join conditions must be "
                 "normalized to selections")

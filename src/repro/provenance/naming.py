@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from typing import Iterable
+
 from ..algebra.operators import BaseRelation, Operator
+from ..expressions.ast import Col
 from ..algebra.trees import iter_operators
 from ..schema import disambiguate
 
@@ -41,6 +44,7 @@ class NamingRegistry:
 
     def __init__(self, taken: set[str] | None = None):
         self._taken: set[str] = set(taken or ())
+        self._cols: dict[str, Col] = {}
 
     @classmethod
     def seeded_from(cls, op: Operator) -> "NamingRegistry":
@@ -55,6 +59,15 @@ class NamingRegistry:
     def fresh(self, base: str) -> str:
         """A fresh helper attribute name derived from *base*."""
         return disambiguate(base, self._taken)
+
+    def col(self, name: str) -> Col:
+        """``Col(name)`` — one shared node per name for the whole rewrite,
+        however many projections pass that column through."""
+        return self._cols.get(name) or self._cols.setdefault(name, Col(name))
+
+    def passthrough(self, names: Iterable[str]) -> list[tuple[str, Col]]:
+        """Identity projection items ``(name, Col(name))`` for *names*."""
+        return [(name, self.col(name)) for name in names]
 
     def register_access(self, relation: BaseRelation) -> BaseAccess:
         """Allocate provenance names for one base relation access."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..algebra.operators import Project, Select
-from ..algebra.properties import is_correlated
 from ..expressions.ast import Sublink
 from . import strategies
 from .strategies import SublinkStrategy, UnnStrategy
@@ -39,6 +38,7 @@ from .strategies import SublinkStrategy, UnnStrategy
 if TYPE_CHECKING:  # pragma: no cover
     from ..api.config import SessionConfig
     from ..catalog import Catalog
+    from ..engine.cost import CardinalityEstimator
 
 #: Names of the built-in strategies plus the automatic mode (static view;
 #: use :func:`repro.provenance.strategies.strategy_names` for the live set).
@@ -50,7 +50,8 @@ class StrategyPlanner:
 
     def __init__(self, strategy: str = "auto",
                  config: "SessionConfig | None" = None,
-                 catalog: "Catalog | None" = None):
+                 catalog: "Catalog | None" = None,
+                 estimator: "CardinalityEstimator | None" = None):
         self.config = config
         self.catalog = catalog
         # A session's default_strategy stands in for "auto", so rewriters
@@ -66,44 +67,26 @@ class StrategyPlanner:
         #: Strategy names ``auto`` picked, in rewrite order (one entry per
         #: sublink-bearing operator dispatched).
         self.decisions: list[str] = []
-        # one estimator per rewrite: its per-subtree memo is shared by
-        # every auto decision of this query
-        self._estimator = None
-
-    def _auto(self, name: str) -> SublinkStrategy:
-        self.decisions.append(name)
-        return strategies.resolve(name)
-
-    def _cardinalities(self, op, sublinks: list[Sublink]
-                       ) -> tuple[float, float] | None:
-        """(input rows, summed sublink rows), or None without a catalog."""
-        if self.catalog is None:
-            return None
-        if self._estimator is None:
-            from ..engine.cost import CardinalityEstimator
-            self._estimator = CardinalityEstimator(self.catalog)
-        estimator = self._estimator
-        input_rows = estimator.estimate(op.input)
-        sublink_rows = sum(
-            estimator.estimate(sublink.query) for sublink in sublinks)
-        return input_rows, sublink_rows
+        # the statement's estimator (or, lacking one, this rewrite's
+        # own): its per-subtree memo serves every auto decision
+        self._estimator = estimator
 
     def _pick(self, candidates: list[str], op,
               sublinks: list[Sublink]) -> SublinkStrategy:
         """The cheapest of *candidates* (all known applicable) by the
-        cost model; the first candidate without one."""
-        if len(candidates) > 1:
-            cardinalities = self._cardinalities(op, sublinks)
-            if cardinalities is not None:
-                from ..engine.cost import strategy_costs
-                input_rows, sublink_rows = cardinalities
-                correlated = any(is_correlated(s.query) for s in sublinks)
-                costs = strategy_costs(input_rows, sublink_rows,
-                                       correlated)
-                candidates = sorted(
-                    candidates, key=lambda name: costs.get(name,
-                                                           float("inf")))
-        return self._auto(candidates[0])
+        cost model; the first candidate without a catalog."""
+        if len(candidates) > 1 and self.catalog is not None:
+            from ..engine.cost import CardinalityEstimator, strategy_costs
+            estimator = self._estimator = self._estimator or \
+                CardinalityEstimator(self.catalog)
+            costs = strategy_costs(
+                estimator.estimate(op.input),
+                sum(estimator.estimate(s.query) for s in sublinks),
+                any(s.correlated for s in sublinks))
+            candidates = sorted(
+                candidates, key=lambda name: costs.get(name, float("inf")))
+        self.decisions.append(candidates[0])
+        return strategies.resolve(candidates[0])
 
     def for_select(self, op: Select) -> SublinkStrategy:
         """Strategy for a selection whose condition holds sublinks."""
@@ -114,7 +97,7 @@ class StrategyPlanner:
         unn = strategies.resolve("unn")
         if isinstance(unn, UnnStrategy) and unn.applicable_select(op):
             candidates.append("unn")
-        if all(not is_correlated(s.query) for s in sublinks):
+        if not any(s.correlated for s in sublinks):
             candidates.append("left")
         candidates.append("gen")
         return self._pick(candidates, op, sublinks)
@@ -125,7 +108,7 @@ class StrategyPlanner:
             return self._forced
         sublinks = SublinkStrategy.project_sublinks(op)
         candidates = []
-        if all(not is_correlated(s.query) for s in sublinks):
+        if not any(s.correlated for s in sublinks):
             candidates.append("left")
         candidates.append("gen")
         return self._pick(candidates, op, sublinks)

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from ..catalog import Catalog
 from ..errors import RewriteError
 from ..expressions.ast import (
-    Col, Const, Expr, NullSafeEq, TRUE, and_all,
+    Const, Expr, NullSafeEq, TRUE, and_all,
 )
 from ..algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
     Select, SetOp, SetOpKind, Sort, Values,
 )
-from ..algebra.properties import contains_sublinks
 from ..algebra.trees import clone_expr
 from .naming import BaseAccess, NamingRegistry, prov_attribute_names
 
@@ -55,11 +54,11 @@ class ProvenanceRewriter:
     """
 
     def __init__(self, catalog: Catalog, strategy: str = "auto",
-                 config=None):
+                 config=None, estimator=None):
         from .planner import StrategyPlanner
         self.catalog = catalog
         self.config = config  # SessionConfig | None
-        self.planner = StrategyPlanner(strategy, config, catalog)
+        self.planner = StrategyPlanner(strategy, config, catalog, estimator)
         self.registry: NamingRegistry = NamingRegistry()
 
     # -- public API -----------------------------------------------------------
@@ -100,23 +99,21 @@ class ProvenanceRewriter:
 
     def _rewrite_base(self, op: BaseRelation) -> RewriteResult:
         access = self.registry.register_access(op)
-        items = [(name, Col(name)) for name in op.schema.names]
+        items = self.registry.passthrough(op.schema.names)
         items.extend(
-            (prov, Col(source))
+            (prov, self.registry.col(source))
             for prov, source in zip(access.prov_names, access.source_names))
         return RewriteResult(Project(op, items), [access])
 
     # -- R2 (+ strategies for sublinks in the projection list) -------------------
 
     def _rewrite_project(self, op: Project) -> RewriteResult:
-        has_sublinks = any(
-            contains_sublinks(expr) for _, expr in op.items)
-        if has_sublinks:
+        if any(expr.has_sublink for expr in op.exprs):
             strategy = self.planner.for_project(op)
             return strategy.rewrite_project(op, self)
         inner = self.rewrite(op.input)
         items = [(name, clone_expr(expr)) for name, expr in op.items]
-        items.extend((name, Col(name)) for name in inner.prov_names)
+        items += self.registry.passthrough(inner.prov_names)
         # Set projection becomes bag projection: each duplicate carries its
         # own provenance (Perm's DISTINCT rule).
         return RewriteResult(Project(inner.plan, items), inner.accesses)
@@ -124,7 +121,7 @@ class ProvenanceRewriter:
     # -- R3 (+ strategies for sublinks in the condition) --------------------------
 
     def _rewrite_select(self, op: Select) -> RewriteResult:
-        if contains_sublinks(op.condition):
+        if op.condition.has_sublink:
             strategy = self.planner.for_select(op)
             return strategy.rewrite_select(op, self)
         inner = self.rewrite(op.input)
@@ -134,7 +131,7 @@ class ProvenanceRewriter:
     # -- R4: cross products and joins ---------------------------------------------
 
     def _rewrite_join(self, op: Join) -> RewriteResult:
-        if contains_sublinks(op.condition):
+        if op.condition.has_sublink:
             raise RewriteError(
                 "join conditions with sublinks must be normalized to a "
                 "selection over a cross product before rewriting")
@@ -149,18 +146,19 @@ class ProvenanceRewriter:
         inner = self.rewrite(op.input)
         group_hats = [self.registry.fresh(f"{name}_grp")
                       for name in op.group]
-        rhs_items = [(hat, Col(name))
+        col = self.registry.col
+        rhs_items = [(hat, col(name))
                      for hat, name in zip(group_hats, op.group)]
-        rhs_items.extend((name, Col(name)) for name in inner.prov_names)
+        rhs_items += self.registry.passthrough(inner.prov_names)
         rhs = Project(inner.plan, rhs_items)
         condition = and_all(
-            NullSafeEq(Col(name), Col(hat))
+            NullSafeEq(col(name), col(hat))
             for name, hat in zip(op.group, group_hats)) if op.group else TRUE
         # Left outer join (deviation from Figure 4's inner join) keeps the
         # single result row of a grouping-free aggregate over empty input.
         joined = Join(op, rhs, condition, JoinKind.LEFT)
-        items = [(name, Col(name)) for name in op.schema.names]
-        items.extend((name, Col(name)) for name in inner.prov_names)
+        items = self.registry.passthrough(
+            (*op.schema.names, *inner.prov_names))
         return RewriteResult(Project(joined, items), inner.accesses)
 
     # -- set operations ----------------------------------------------------------------
@@ -181,13 +179,13 @@ class ProvenanceRewriter:
         left_names = op.left.schema.names
         right_names = op.right.schema.names
         null = Const(None)
-        left_items = [(name, Col(name)) for name in left_names]
-        left_items += [(name, Col(name)) for name in left.prov_names]
+        left_items = self.registry.passthrough(
+            (*left_names, *left.prov_names))
         left_items += [(name, null) for name in right.prov_names]
-        right_items = [(out, Col(name))
+        right_items = [(out, self.registry.col(name))
                        for out, name in zip(left_names, right_names)]
         right_items += [(name, null) for name in left.prov_names]
-        right_items += [(name, Col(name)) for name in right.prov_names]
+        right_items += self.registry.passthrough(right.prov_names)
         plan = SetOp(
             SetOpKind.UNION,
             Project(left.plan, left_items),
@@ -201,11 +199,12 @@ class ProvenanceRewriter:
         """Join *base* with a rewritten branch on null-safe column equality,
         renaming the branch's original columns to fresh names first."""
         fresh = [self.registry.fresh(f"{name}_eq") for name in side_names]
-        items = [(f, Col(name)) for f, name in zip(fresh, side_names)]
-        items += [(name, Col(name)) for name in side.prov_names]
+        col = self.registry.col
+        items = [(f, col(name)) for f, name in zip(fresh, side_names)]
+        items += self.registry.passthrough(side.prov_names)
         renamed = Project(side.plan, items)
         condition = and_all(
-            NullSafeEq(Col(b), Col(f))
+            NullSafeEq(col(b), col(f))
             for b, f in zip(base_names, fresh))
         return Join(base, renamed, condition, JoinKind.INNER)
 
@@ -217,9 +216,8 @@ class ProvenanceRewriter:
         joined = self._join_back(op, names, left, names)
         joined = self._join_back(joined, names, right,
                                  op.right.schema.names)
-        items = [(name, Col(name)) for name in names]
-        items += [(name, Col(name))
-                  for name in left.prov_names + right.prov_names]
+        items = self.registry.passthrough(
+            (*names, *left.prov_names, *right.prov_names))
         return RewriteResult(
             Project(joined, items), left.accesses + right.accesses)
 
@@ -232,11 +230,9 @@ class ProvenanceRewriter:
         names = op.left.schema.names
         joined = self._join_back(op, names, left, names)
         right_prov = Project(
-            right.plan,
-            [(name, Col(name)) for name in right.prov_names])
+            right.plan, self.registry.passthrough(right.prov_names))
         joined = Join(joined, right_prov, TRUE, JoinKind.LEFT)
-        items = [(name, Col(name)) for name in names]
-        items += [(name, Col(name))
-                  for name in left.prov_names + right.prov_names]
+        items = self.registry.passthrough(
+            (*names, *left.prov_names, *right.prov_names))
         return RewriteResult(
             Project(joined, items), left.accesses + right.accesses)

@@ -7,8 +7,7 @@ from typing import TYPE_CHECKING
 from ...errors import RewriteError
 from ...expressions.ast import Col, Expr, Sublink, collect_sublinks
 from ...algebra.operators import Operator, Project, Select
-from ...algebra.properties import is_correlated
-from ...algebra.trees import clone
+from ...algebra.trees import clone, transform
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rewriter import ProvenanceRewriter, RewriteResult
@@ -45,7 +44,7 @@ class SublinkStrategy:
     def require_uncorrelated(self, sublinks: list[Sublink]) -> None:
         """Left/Move/Unn applicability guard (Section 3.6)."""
         for sublink in sublinks:
-            if is_correlated(sublink.query):
+            if sublink.correlated:
                 raise RewriteError(
                     f"the {self.name} strategy does not support correlated "
                     f"sublinks; use the Gen strategy")
@@ -58,25 +57,34 @@ class SublinkStrategy:
         rewritten plan never aliases operators of the original tree."""
         return rewriter.rewrite(clone(sublink.query))
 
-    @staticmethod
-    def passthrough_items(names) -> list[tuple[str, Col]]:
-        """Identity projection items for *names*."""
-        return [(name, Col(name)) for name in names]
+    def sublink_side(self, sublink: Sublink,
+                     rewriter: "ProvenanceRewriter"
+                     ) -> tuple["RewriteResult", Project, str]:
+        """``Tsub+`` ready to be joined: its result columns under fresh
+        names, its provenance columns as they are.  Returns the rewrite,
+        that projection and the fresh name of the first result column."""
+        sub = self.rewrite_sublink_query(sublink, rewriter)
+        prov_names = sub.prov_names
+        registry = rewriter.registry
+        provenance = set(prov_names)
+        items = [(registry.fresh(f"sub_{name}"), registry.col(name))
+                 for name in sub.plan.schema.names
+                 if name not in provenance]
+        result_column = items[0][0] if items else prov_names[0]
+        items += registry.passthrough(prov_names)
+        return sub, Project(sub.plan, items), result_column
 
     @staticmethod
-    def final_projection(plan: Operator, original_names, prov_names
-                         ) -> Project:
+    def final_projection(rewriter: "ProvenanceRewriter", plan: Operator,
+                         original_names, prov_names) -> Project:
         """Keep the original operator's schema plus all provenance columns,
         dropping strategy-internal helper columns."""
-        items = [(name, Col(name)) for name in original_names]
-        items.extend((name, Col(name)) for name in prov_names)
-        return Project(plan, items)
+        return Project(plan, rewriter.registry.passthrough(
+            (*original_names, *prov_names)))
 
 
 def replace_sublinks(expr: Expr, mapping: dict[int, str]) -> Expr:
     """Replace sublinks (by identity) with column references (Move/``Ctar``)."""
-    from ...expressions.ast import transform
-
     def rule(node: Expr) -> Expr | None:
         if isinstance(node, Sublink) and id(node) in mapping:
             return Col(mapping[id(node)])

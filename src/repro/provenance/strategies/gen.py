@@ -80,8 +80,8 @@ class GenStrategy(SublinkStrategy):
         if conjuncts:
             filtered = Select(current, and_all(conjuncts))
         items = [(name, clone_expr(expr)) for name, expr in op.items]
-        items.extend(
-            (name, Col(name)) for name in prov_attribute_names(accesses))
+        items += rewriter.registry.passthrough(
+            prov_attribute_names(accesses))
         return RewriteResult(Project(filtered, items), accesses)
 
     # -- shared construction --------------------------------------------------
@@ -114,13 +114,14 @@ class GenStrategy(SublinkStrategy):
         # provenance rows of Tsub+.
         renamed = [rewriter.registry.fresh(f"{name}_x")
                    for name in prov_names]
-        rename_items = [(name, Col(name)) for name in result_names]
+        rename_items = rewriter.registry.passthrough(result_names)
+        col = rewriter.registry.col
         rename_items += [
-            (new, Col(old)) for new, old in zip(renamed, prov_names)]
+            (new, col(old)) for new, old in zip(renamed, prov_names)]
         jsub = jsub_condition(
             sublink, result_column, shift_into_sublink=True)
         match_condition = and_all(
-            [jsub] + [NullSafeEq(Col(old, level=1), Col(new))
+            [jsub] + [NullSafeEq(Col(old, level=1), col(new))
                       for old, new in zip(prov_names, renamed)])
         member_check = Sublink(
             SublinkKind.EXISTS,
@@ -132,6 +133,6 @@ class GenStrategy(SublinkStrategy):
             sublink, result_column, shift_into_sublink=True)
         empty_check = Not(Sublink(
             SublinkKind.EXISTS, Select(clone(sub.plan), jsub_again)))
-        all_null = and_all(IsNull(Col(name)) for name in prov_names)
+        all_null = and_all(IsNull(col(name)) for name in prov_names)
 
         return or_all([member_check, and_all([empty_check, all_null])])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ...expressions.ast import Col
 from ...algebra.operators import Join, JoinKind, Operator, Project, Select
 from ...algebra.trees import clone_expr
 from ..influence import jsub_condition
@@ -36,18 +35,8 @@ class LeftStrategy(SublinkStrategy):
                       ) -> tuple[Operator, list]:
         """Left-outer-join ``Tsub+`` for each sublink on ``Jsub``."""
         for sublink in sublinks:
-            sub = self.rewrite_sublink_query(sublink, rewriter)
-            prov_names = sub.prov_names
-            result_names = [
-                name for name in sub.plan.schema.names
-                if name not in set(prov_names)]
-            fresh = [rewriter.registry.fresh(f"sub_{name}")
-                     for name in result_names]
-            items = [(new, Col(old))
-                     for new, old in zip(fresh, result_names)]
-            items += [(name, Col(name)) for name in prov_names]
-            right = Project(sub.plan, items)
-            result_column = fresh[0] if fresh else prov_names[0]
+            sub, right, result_column = self.sublink_side(
+                sublink, rewriter)
             jsub = jsub_condition(
                 sublink, result_column, shift_into_sublink=False)
             current = Join(current, right, jsub, JoinKind.LEFT)
@@ -68,7 +57,7 @@ class LeftStrategy(SublinkStrategy):
             inner.plan, list(inner.accesses), sublinks, rewriter)
         selected = Select(current, clone_expr(op.condition))
         plan = self.final_projection(
-            selected, op.input.schema.names, prov_attribute_names(accesses))
+            rewriter, selected, op.input.schema.names, prov_attribute_names(accesses))
         return RewriteResult(plan, accesses)
 
     # -- L2 -------------------------------------------------------------------
@@ -84,6 +73,6 @@ class LeftStrategy(SublinkStrategy):
         current, accesses = self._attach_joins(
             inner.plan, list(inner.accesses), sublinks, rewriter)
         items = [(name, clone_expr(expr)) for name, expr in op.items]
-        items += [(name, Col(name))
-                  for name in prov_attribute_names(accesses)]
+        items += rewriter.registry.passthrough(
+            prov_attribute_names(accesses))
         return RewriteResult(Project(current, items), accesses)

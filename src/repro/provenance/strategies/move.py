@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ...expressions.ast import Col, Sublink
+from ...expressions.ast import Sublink
 from ...algebra.operators import (
     Join, JoinKind, Operator, Project, Select,
 )
@@ -39,25 +39,15 @@ class MoveStrategy(SublinkStrategy):
         from sublink identity to its value column ``C_i``.
         """
         value_columns: dict[int, str] = {}
-        items = [(name, Col(name)) for name in input_plan.schema.names]
+        items = rewriter.registry.passthrough(input_plan.schema.names)
         for position, sublink in enumerate(sublinks):
             column = rewriter.registry.fresh(f"csub_{position}")
             value_columns[id(sublink)] = column
             items.append((column, clone_expr(sublink)))
         current: Operator = Project(input_plan, items)
         for sublink in sublinks:
-            sub = self.rewrite_sublink_query(sublink, rewriter)
-            prov_names = sub.prov_names
-            result_names = [
-                name for name in sub.plan.schema.names
-                if name not in set(prov_names)]
-            fresh = [rewriter.registry.fresh(f"sub_{name}")
-                     for name in result_names]
-            right_items = [(new, Col(old))
-                           for new, old in zip(fresh, result_names)]
-            right_items += [(name, Col(name)) for name in prov_names]
-            right = Project(sub.plan, right_items)
-            result_column = fresh[0] if fresh else prov_names[0]
+            sub, right, result_column = self.sublink_side(
+                sublink, rewriter)
             jsub = jsub_with_result_column(
                 sublink, value_columns[id(sublink)], result_column)
             current = Join(current, right, jsub, JoinKind.LEFT)
@@ -79,7 +69,7 @@ class MoveStrategy(SublinkStrategy):
         ctar = replace_sublinks(op.condition, value_columns)
         selected = Select(current, ctar)
         plan = self.final_projection(
-            selected, op.input.schema.names, prov_attribute_names(accesses))
+            rewriter, selected, op.input.schema.names, prov_attribute_names(accesses))
         return RewriteResult(plan, accesses)
 
     # -- T2 -------------------------------------------------------------------
@@ -96,6 +86,6 @@ class MoveStrategy(SublinkStrategy):
             inner.plan, list(inner.accesses), sublinks, rewriter)
         items = [(name, replace_sublinks(expr, value_columns))
                  for name, expr in op.items]
-        items += [(name, Col(name))
-                  for name in prov_attribute_names(accesses)]
+        items += rewriter.registry.passthrough(
+            prov_attribute_names(accesses))
         return RewriteResult(Project(current, items), accesses)

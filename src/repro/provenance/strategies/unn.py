@@ -23,7 +23,6 @@ from ...expressions.ast import (
 from ...algebra.operators import (
     Join, JoinKind, Operator, Project, Select,
 )
-from ...algebra.properties import contains_sublinks, is_correlated
 from ...algebra.trees import clone_expr
 from .base import SublinkStrategy
 
@@ -41,15 +40,15 @@ class UnnStrategy(SublinkStrategy):
         """True iff every sublink-bearing conjunct matches U1 or U2."""
         saw_sublink = False
         for part in conjuncts_of(op.condition):
-            if not contains_sublinks(part):
+            if not part.has_sublink:
                 continue
             saw_sublink = True
-            if not isinstance(part, Sublink) or is_correlated(part.query):
+            if not isinstance(part, Sublink) or part.correlated:
                 return False
             if part.kind == SublinkKind.EXISTS:
                 continue
             if part.kind == SublinkKind.ANY and part.op == "=" \
-                    and not contains_sublinks(part.test):
+                    and not part.test.has_sublink:
                 continue
             return False
         return saw_sublink
@@ -68,33 +67,26 @@ class UnnStrategy(SublinkStrategy):
         current: Operator = inner.plan
         accesses = list(inner.accesses)
         plain = [clone_expr(part) for part in conjuncts_of(op.condition)
-                 if not contains_sublinks(part)]
+                 if not part.has_sublink]
         if plain:
             current = Select(current, and_all(plain))
         for part in conjuncts_of(op.condition):
-            if not contains_sublinks(part):
+            if not part.has_sublink:
                 continue
             sublink = part
-            sub = self.rewrite_sublink_query(sublink, rewriter)
-            prov_names = sub.prov_names
             if sublink.kind == SublinkKind.EXISTS:
-                right = Project(
-                    sub.plan, [(n, Col(n)) for n in prov_names])
+                sub = self.rewrite_sublink_query(sublink, rewriter)
+                right = Project(sub.plan, rewriter.registry.passthrough(
+                    sub.prov_names))
                 current = Join(current, right, TRUE, JoinKind.CROSS)
             else:
-                result_names = [
-                    name for name in sub.plan.schema.names
-                    if name not in set(prov_names)]
-                fresh = rewriter.registry.fresh(f"sub_{result_names[0]}")
-                items = [(fresh, Col(result_names[0]))]
-                items += [(n, Col(n)) for n in prov_names]
-                right = Project(sub.plan, items)
+                sub, right, fresh = self.sublink_side(sublink, rewriter)
                 condition = Comparison(
                     "=", clone_expr(sublink.test), Col(fresh))
                 current = Join(current, right, condition, JoinKind.INNER)
             accesses = accesses + sub.accesses
         plan = self.final_projection(
-            current, op.input.schema.names, prov_attribute_names(accesses))
+            rewriter, current, op.input.schema.names, prov_attribute_names(accesses))
         return RewriteResult(plan, accesses)
 
     def rewrite_project(self, op: Project,

@@ -8,49 +8,59 @@ relies on it (rewrite rules address attributes by name, never by position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .datatypes import SQLType
 from .errors import SchemaError
 
 
-@dataclass(frozen=True)
-class Attribute:
-    """A named, typed column."""
+class Attribute(NamedTuple):
+    """A named, typed column — a plain value: a :class:`Schema` keeps
+    names and types, not Attribute objects, and hands these out on
+    request."""
 
     name: str
     type: SQLType = SQLType.ANY
 
-    def renamed(self, name: str) -> "Attribute":
-        """Return a copy of this attribute under a new name."""
-        return Attribute(name, self.type)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.name}:{self.type.value}"
-
 
 class Schema:
-    """An immutable, ordered collection of :class:`Attribute` objects."""
+    """An immutable, ordered collection of :class:`Attribute` values,
+    held as two parallel tuples (a plan keeps hundreds of schemas alive;
+    two tuples per schema, not an object per column, is what the garbage
+    collector has to walk)."""
 
-    __slots__ = ("_attributes", "_index")
+    __slots__ = ("names", "types", "index")
 
     def __init__(self, attributes: Iterable[Attribute]):
-        attrs = tuple(attributes)
-        index: dict[str, int] = {}
-        for position, attribute in enumerate(attrs):
-            if attribute.name in index:
-                raise SchemaError(
-                    f"duplicate attribute name {attribute.name!r} in schema "
-                    f"{[a.name for a in attrs]}")
-            index[attribute.name] = position
-        self._attributes = attrs
-        self._index = index
+        columns = tuple(zip(*attributes)) or ((), ())
+        self._fill(*columns)
+
+    def _fill(self, names: Iterable[str], types: Iterable[SQLType]) -> None:
+        #: Attribute names, and their types, in schema order.
+        self.names = names = tuple(names)
+        self.types = tuple(types)
+        #: name -> position; shared read-only with every operator that
+        #: evaluates expressions over this schema.
+        self.index: dict[str, int] = dict(zip(names, range(len(names))))
+        if len(self.index) != len(names):
+            duplicate = next(name for position, name in enumerate(names)
+                             if self.index[name] != position)
+            raise SchemaError(
+                f"duplicate attribute name {duplicate!r} in schema "
+                f"{list(names)}")
+
+    @classmethod
+    def of_columns(cls, names: Iterable[str],
+                   types: Iterable[SQLType]) -> "Schema":
+        """Build a schema from parallel name and type sequences."""
+        schema = cls.__new__(cls)
+        schema._fill(names, types)
+        return schema
 
     @classmethod
     def of(cls, *names: str) -> "Schema":
         """Build an untyped schema from attribute names (test helper)."""
-        return cls(Attribute(name) for name in names)
+        return cls.of_columns(names, (SQLType.ANY,) * len(names))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, SQLType]]) -> "Schema":
@@ -60,41 +70,36 @@ class Schema:
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._attributes)
+        return len(self.names)
 
     def __iter__(self) -> Iterator[Attribute]:
-        return iter(self._attributes)
+        return map(Attribute, self.names, self.types)
 
     def __getitem__(self, key: int | str) -> Attribute:
         if isinstance(key, str):
-            return self._attributes[self.position(key)]
-        return self._attributes[key]
+            key = self.position(key)
+        return Attribute(self.names[key], self.types[key])
 
     def __contains__(self, name: object) -> bool:
-        return name in self._index
+        return name in self.index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):
             return NotImplemented
-        return self._attributes == other._attributes
+        return self.names == other.names and self.types == other.types
 
     def __hash__(self) -> int:
-        return hash(self._attributes)
+        return hash((self.names, self.types))
 
     def __repr__(self) -> str:
-        return f"Schema({', '.join(a.name for a in self._attributes)})"
+        return f"Schema({', '.join(self.names)})"
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Attribute names in schema order."""
-        return tuple(a.name for a in self._attributes)
 
     def position(self, name: str) -> int:
         """Position of attribute *name*; raises :class:`SchemaError`."""
         try:
-            return self._index[name]
+            return self.index[name]
         except KeyError:
             raise SchemaError(
                 f"unknown attribute {name!r}; schema has {list(self.names)}"
@@ -108,7 +113,8 @@ class Schema:
 
     def concat(self, other: "Schema") -> "Schema":
         """The schema of a cross product / join: this ++ other."""
-        return Schema((*self._attributes, *other._attributes))
+        return Schema.of_columns(self.names + other.names,
+                                 self.types + other.types)
 
     def project(self, names: Iterable[str]) -> "Schema":
         """Sub-schema containing *names* in the given order."""
@@ -116,9 +122,8 @@ class Schema:
 
     def rename(self, mapping: dict[str, str]) -> "Schema":
         """Rename attributes per *mapping* (missing names are kept)."""
-        return Schema(
-            attr.renamed(mapping.get(attr.name, attr.name))
-            for attr in self._attributes)
+        return Schema.of_columns(
+            [mapping.get(name, name) for name in self.names], self.types)
 
 
 def disambiguate(name: str, taken: set[str]) -> str:

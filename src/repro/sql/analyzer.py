@@ -27,13 +27,13 @@ from ..catalog import Catalog
 from ..errors import AnalyzerError
 from ..datatypes import SQLType
 from ..expressions.ast import (
-    AggCall, Col, Const, Expr, Sublink, SublinkKind, TRUE, transform,
+    AggCall, Col, Const, Expr, Sublink, SublinkKind, TRUE,
 )
 from ..algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
     Select, SetOp, SetOpKind, Sort, SortKey, Values,
 )
-from ..algebra.properties import contains_sublinks
+from ..algebra.trees import transform
 from ..schema import Attribute, Schema, disambiguate
 from .ast import (
     JoinExpr, OrderItem, SelectItem, SelectStmt, Star, SubqueryRef,
@@ -315,7 +315,7 @@ class Analyzer:
         local = Scope(outer)
         local.add_all(entries)
         condition = self._analyze_expr(item.condition, local)
-        if contains_sublinks(condition) and item.kind != "left":
+        if condition.has_sublink and item.kind != "left":
             # normalize so the provenance rewriter sees sublinks only in
             # selections; LEFT JOIN keeps them (executable, but the
             # rewriter will reject computing provenance through them)

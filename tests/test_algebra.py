@@ -12,7 +12,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.printer import explain
 from repro.algebra.properties import (
-    collect_base_relations, contains_sublinks, correlation_depth,
+    collect_base_relations, correlation_depth,
     is_correlated,
 )
 from repro.algebra.trees import (
@@ -145,10 +145,34 @@ class TestProperties:
                        Sublink(SublinkKind.EXISTS, innermost))
         assert not is_correlated(query)
 
-    def test_contains_sublinks(self):
-        assert contains_sublinks(
-            Not(Sublink(SublinkKind.EXISTS, scan())))
-        assert not contains_sublinks(Comparison("=", Col("a"), Const(1)))
+    def test_nested_sublinks_walked_once(self, monkeypatch):
+        """Regression: ``_max_escape_op`` descended into each nested
+        sublink query twice per level, so a 4-deep ``EXISTS`` asked the
+        innermost selection for its expressions 16 times."""
+        query = Select(scan("t4", "d"),
+                       Comparison("=", Col("d"), Col("a", level=4)))
+        for name in ("t3", "t2", "t1"):
+            query = Select(scan(name, "c"),
+                           Sublink(SublinkKind.EXISTS, query))
+        asked = []
+        expressions = Select.expressions
+        monkeypatch.setattr(
+            Select, "expressions",
+            lambda self: asked.append(id(self)) or expressions(self))
+        assert correlation_depth(query) == 1
+        assert len(asked) == len(set(asked)) == 4
+
+    def test_sublink_answers_correlated_from_one_walk(self, monkeypatch):
+        sublink = Sublink(SublinkKind.EXISTS, Select(
+            scan("u", "c"), Comparison("=", Col("c"), Col("a", level=1))))
+        assert sublink.correlated
+        monkeypatch.setattr(Select, "expressions", None)  # no second walk
+        assert sublink.correlated
+        assert not Sublink(SublinkKind.EXISTS, scan()).correlated
+
+    def test_has_sublink(self):
+        assert Not(Sublink(SublinkKind.EXISTS, scan())).has_sublink
+        assert not Comparison("=", Col("a"), Const(1)).has_sublink
 
     def test_collect_base_relations_includes_sublink_queries(self):
         sub = Sublink(SublinkKind.EXISTS, scan("u", "c"))

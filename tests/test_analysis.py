@@ -51,7 +51,7 @@ class TestRegistry:
     def test_all_families_registered(self):
         assert available_rules() == (
             "config-knobs", "exhaustiveness", "hygiene", "lock-discipline",
-            "purity", "typing")
+            "planner", "purity", "typing")
 
     def test_unknown_rule_family_is_an_interface_error(self, tmp_path):
         from repro.errors import InterfaceError
@@ -561,6 +561,64 @@ class TestTypingGate:
                 return text
         """})
         assert findings(root, rules=["typing"]) == []
+
+
+# -- planner memo rule --------------------------------------------------------
+
+class TestPlannerNoGlobalMemo:
+    def test_memo_decorators_and_global_tables_flagged(self, tmp_path):
+        root = write_fixture(tmp_path, {"engine/optimizer.py": """
+            import functools
+            import weakref
+            from functools import lru_cache
+
+            _SEEN = weakref.WeakKeyDictionary()
+            _BY_ID: dict = {}
+
+            @functools.cache
+            def names(expr: object) -> object:
+                return expr
+
+            class Pass:
+                @lru_cache(maxsize=None)
+                def visit(self, op: object) -> object:
+                    return _BY_ID.setdefault(id(op), op)
+        """})
+        found = findings(root, rules=["planner"])
+        assert rule_ids(found) == ["planner-no-global-memo"]
+        assert sorted(v.symbol.rpartition(".")[2] for v in found) == [
+            "_BY_ID", "_SEEN", "names", "visit"]
+
+    def test_constant_tables_and_local_memos_are_legal(self, tmp_path):
+        root = write_fixture(tmp_path, {"engine/lowering.py": """
+            _TYPE_FAMILY = {"int": "num", "text": "text"}
+
+            class Lowerer:
+                def __init__(self) -> None:
+                    self.registry: dict = {}
+
+                def lower(self, op: object) -> object:
+                    memo: dict = {}
+                    memo[id(op)] = _TYPE_FAMILY["int"]
+                    return self.registry.setdefault(id(op), op)
+        """})
+        assert findings(root, rules=["planner"]) == []
+
+    def test_other_modules_are_not_held_to_it(self, tmp_path):
+        root = write_fixture(tmp_path, {"server/backend.py": """
+            import functools
+
+            @functools.lru_cache
+            def oid(name: str) -> int:
+                return len(name)
+        """})
+        assert findings(root, rules=["planner"]) == []
+
+    def test_live_tree_is_clean(self):
+        import repro
+        from pathlib import Path
+        root = Path(repro.__file__).parent
+        assert findings(root, rules=["planner"]) == []
 
 
 # -- baseline and CLI ---------------------------------------------------------

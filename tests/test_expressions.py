@@ -6,9 +6,9 @@ from repro.errors import ExecutionError, ExpressionError
 from repro.expressions.ast import (
     AggCall, Arith, BoolOp, Case, Cast, Col, Comparison, Const, FuncCall,
     IsNull, Like, Neg, Not, NullSafeEq, TRUE, FALSE, and_all,
-    collect_columns, collect_sublinks, has_aggregate, or_all, transform,
-    walk,
+    collect_columns, collect_sublinks, has_aggregate, or_all, walk,
 )
+from repro.algebra.trees import transform
 from repro.expressions.evaluator import EvalContext, Frame, evaluate
 from repro.expressions.functions import call_function, register_function
 

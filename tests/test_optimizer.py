@@ -1,5 +1,7 @@
 """Logical optimizer: pushdown correctness and plan-shape checks."""
 
+import gc
+
 import pytest
 
 from repro.catalog import Catalog
@@ -119,3 +121,39 @@ class TestScopeColumnNames:
                        Comparison("=", Col("c"), Const(1)))
         expr = Sublink(SublinkKind.EXISTS, inner)
         assert scope_column_names(expr) == set()
+
+
+class TestNoCyclicGarbage:
+    def test_planning_and_execution_leave_nothing_for_the_collector(self):
+        """Regression: ``_flatten_chain`` recursed through a local
+        function that referred to itself, a reference cycle per call that
+        pinned joins, projections and schemas until a collection ran.
+        Everything a statement allocates must die by reference count."""
+        from repro.errors import RewriteError
+        from repro.synthetic import (
+            SyntheticConfig, load_synthetic, q1_sql, q2_sql,
+        )
+        from repro.tpch import (
+            PAPER_SUBLINK_QUERIES, install_views, load_tpch, query_sql,
+            query_strategies,
+        )
+        tpch = load_tpch(scale=0.00005, seed=7)
+        install_views(tpch)
+        synth = load_synthetic(SyntheticConfig(50, 50, seed=3))
+        cases = [(tpch, query_sql(query, seed=1), strategy)
+                 for query in PAPER_SUBLINK_QUERIES
+                 for strategy in ("auto", *query_strategies(query))]
+        cases += [(synth, make(50, 50, seed=5), strategy)
+                  for make in (q1_sql, q2_sql)
+                  for strategy in ("gen", "left", "move", "unn")]
+        gc.collect()
+        gc.disable()
+        try:
+            for conn, sql, strategy in cases:
+                try:
+                    conn.provenance(sql, strategy)
+                except RewriteError:
+                    pass        # Unn does not apply to q2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
