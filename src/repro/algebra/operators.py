@@ -108,20 +108,7 @@ class Values(Operator):
                     f"Values row arity {len(row)} != schema {len(schema)}")
 
 
-class _Unary(Operator):
-    """An operator over one ``input``, whose schema it keeps unless it
-    says otherwise."""
-
-    __slots__ = ("input",)
-
-    def _infer_schema(self) -> Schema:
-        return self.input.schema
-
-    def children(self):
-        return (self.input,)
-
-
-class Project(_Unary):
+class Project(Operator):
     """Bag or set projection onto named expressions.
 
     ``items`` is a sequence of ``(name, expr)``; ``distinct=True`` is the
@@ -130,7 +117,7 @@ class Project(_Unary):
     the lowered plan share.
     """
 
-    __slots__ = ("names", "exprs", "distinct")
+    __slots__ = ("input", "names", "exprs", "distinct")
 
     def __init__(self, input: Operator,
                  items: Sequence[tuple[str, Expr]],
@@ -166,6 +153,9 @@ class Project(_Unary):
             return source
         return Schema.of_columns(self.names, types)
 
+    def children(self):
+        return (self.input,)
+
     def replace_children(self, new):
         node = Project.__new__(Project)._fill(
             new[0], self.names, self.exprs, self.distinct)
@@ -181,15 +171,21 @@ class Project(_Unary):
             self.input, self.names, tuple(new), self.distinct)
 
 
-class Select(_Unary):
+class Select(Operator):
     """Selection: keep input rows whose condition is definitely true."""
 
-    __slots__ = ("condition",)
+    __slots__ = ("input", "condition")
 
     def __init__(self, input: Operator, condition: Expr):
         super().__init__()
         self.input = input
         self.condition = condition
+
+    def _infer_schema(self) -> Schema:
+        return self.input.schema
+
+    def children(self):
+        return (self.input,)
 
     def replace_children(self, new):
         return Select(new[0], self.condition)
@@ -242,7 +238,7 @@ class Join(Operator):
         return Join(self.left, self.right, new[0], self.kind)
 
 
-class Aggregate(_Unary):
+class Aggregate(Operator):
     """Grouping + aggregation.
 
     ``group`` is a tuple of input *column names* (the analyzer projects
@@ -252,7 +248,7 @@ class Aggregate(_Unary):
     exactly one output row (even for empty input — SQL semantics).
     """
 
-    __slots__ = ("group", "aggregates")
+    __slots__ = ("input", "group", "aggregates")
 
     def __init__(self, input: Operator, group: Sequence[str],
                  aggregates: Sequence[tuple[str, AggCall]]):
@@ -268,6 +264,9 @@ class Aggregate(_Unary):
             (*self.group, *names),
             (*[source[name].type for name in self.group],
              *[SQLType.ANY] * len(names)))
+
+    def children(self):
+        return (self.input,)
 
     def replace_children(self, new):
         return Aggregate(new[0], self.group, self.aggregates)
@@ -324,15 +323,21 @@ class SortKey:
     ascending: bool = True
 
 
-class Sort(_Unary):
+class Sort(Operator):
     """Deterministic ordering (NULLs sort first ascending, last descending)."""
 
-    __slots__ = ("keys",)
+    __slots__ = ("input", "keys")
 
     def __init__(self, input: Operator, keys: Sequence[SortKey]):
         super().__init__()
         self.input = input
         self.keys = tuple(keys)
+
+    def _infer_schema(self) -> Schema:
+        return self.input.schema
+
+    def children(self):
+        return (self.input,)
 
     def replace_children(self, new):
         return Sort(new[0], self.keys)
@@ -347,10 +352,10 @@ class Sort(_Unary):
         return Sort(self.input, keys)
 
 
-class Limit(_Unary):
+class Limit(Operator):
     """LIMIT/OFFSET."""
 
-    __slots__ = ("count", "offset")
+    __slots__ = ("input", "count", "offset")
 
     def __init__(self, input: Operator, count: int | None,
                  offset: int = 0):
@@ -358,6 +363,12 @@ class Limit(_Unary):
         self.input = input
         self.count = count
         self.offset = offset
+
+    def _infer_schema(self) -> Schema:
+        return self.input.schema
+
+    def children(self):
+        return (self.input,)
 
     def replace_children(self, new):
         return Limit(new[0], self.count, self.offset)

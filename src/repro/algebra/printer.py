@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..expressions.printer import format_expr, format_items
+from ..expressions.printer import format_expr
 from .operators import (
     Aggregate, BaseRelation, Join, Limit, Operator, Project, Select, SetOp,
     Sort, Values,
@@ -16,14 +16,17 @@ def _label(op: Operator) -> str:
         return f"Values {len(op.rows)} row(s) -> {list(op.schema.names)}"
     if isinstance(op, Project):
         kind = "Distinct" if op.distinct else "Project"
-        return f"{kind} [{format_items(zip(op.names, op.exprs))}]"
+        items = ", ".join(
+            f"{format_expr(expr)} AS {name}" for name, expr in op.items)
+        return f"{kind} [{items}]"
     if isinstance(op, Select):
         return f"Select {format_expr(op.condition)}"
     if isinstance(op, Join):
         return f"Join {op.kind.value} ON {format_expr(op.condition)}"
     if isinstance(op, Aggregate):
-        return (f"Aggregate group={list(op.group)} "
-                f"[{format_items(op.aggregates)}]")
+        aggs = ", ".join(
+            f"{format_expr(call)} AS {name}" for name, call in op.aggregates)
+        return f"Aggregate group={list(op.group)} [{aggs}]"
     if isinstance(op, SetOp):
         flavor = "ALL" if op.all else "DISTINCT"
         return f"SetOp {op.kind.value.upper()} {flavor}"

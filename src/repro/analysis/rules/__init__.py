@@ -1,8 +1,8 @@
 """The rule registry and the violation record.
 
 A *rule family* (``lock-discipline``, ``exhaustiveness``, ``purity``,
-``hygiene``, ``typing``, ``config-knobs``, ``planner``) is one registered checker
-function; each family emits violations under specific ids
+``hygiene``, ``typing``, ``config-knobs``, ``planner``) is one registered
+checker function; each family emits violations under specific ids
 (``hygiene-pickle``, ``exhaustiveness-wal``, ...) so pragmas and
 baselines can be precise.
 An inline ``# repro: allow(<id-or-prefix>)`` on the offending line, in
@@ -101,12 +101,6 @@ class AnalysisConfig:
         "storage", "storage.*", "engine", "engine.*", "api", "api.*",
         "client", "client.*", "server", "server.*", "catalog",
         "relation", "analysis", "analysis.*")
-
-    #: modules that plan: no module-level memo of facts about plan nodes
-    planner_modules: tuple[str, ...] = (
-        "engine.optimizer", "engine.lowering", "engine.cost", "algebra",
-        "algebra.*", "provenance", "provenance.*", "schema",
-        "expressions.ast")
 
     def replace(self, **overrides: Any) -> "AnalysisConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self)}

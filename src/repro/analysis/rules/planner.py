@@ -17,6 +17,10 @@ from ..project import ModuleInfo, dotted_path
 from . import RuleContext, rule
 
 _RULE = "planner-no-global-memo"
+#: modules that plan: no module-level memo of facts about plan nodes
+_PLANNER_MODULES = (
+    "engine.optimizer", "engine.lowering", "engine.cost", "algebra",
+    "algebra.*", "provenance", "provenance.*", "schema", "expressions.ast")
 _MEMO_DECORATORS = frozenset({"lru_cache", "cache"})
 _WEAK_TABLES = frozenset({"WeakKeyDictionary", "WeakValueDictionary"})
 
@@ -45,7 +49,7 @@ def _id_keyed(module: ModuleInfo) -> dict[str, int]:
 
 @rule("planner")
 def check_planner(ctx: RuleContext) -> None:
-    modules = ctx.modules_matching(ctx.config.planner_modules)
+    modules = ctx.modules_matching(_PLANNER_MODULES)
     for info in ctx.project.functions.values():
         for decorator in info.decorators:
             if info.module in modules and \

@@ -137,6 +137,10 @@ class CardinalityEstimator:
         """Estimated output rows of *op* (>= 0)."""
         return self._visit(op)[0]
 
+    def column_map(self, op: Operator) -> ColumnMap:
+        """Base-column lineage of *op*'s visible columns."""
+        return self._visit(op)[1]
+
     def selectivity(self, condition: Expr, op_input: Operator) -> float:
         """Estimated fraction of *op_input*'s rows satisfying *condition*."""
         return self._selectivity(condition, self._visit(op_input)[1])

@@ -48,7 +48,6 @@ from ..expressions.ast import (
     Arith, Cast, Col, Comparison, Const, Expr, FuncCall, Like,
     Sublink, TRUE, and_all, collect_sublinks, conjuncts_of, walk,
 )
-from ..expressions.evaluator import Frame
 from ..schema import Schema
 from ..algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
@@ -149,7 +148,7 @@ class _Lowerer:
         if isinstance(op, Project):
             node = PhysicalProject(
                 self.lower(op.input), op.names, op.exprs, op.distinct,
-                Frame.index_for(op.input.schema))
+                op.input.schema.index)
             node.sublinks = self._collect_sublinks(op.exprs)
             return self._annotate(node, op)
 
@@ -160,7 +159,7 @@ class _Lowerer:
             node = HashAggregate(
                 self.lower(op.input), op.group,
                 tuple(op.input.schema.positions(op.group)), op.aggregates,
-                Frame.index_for(op.input.schema))
+                op.input.schema.index)
             node.sublinks = self._collect_sublinks(
                 tuple(call for _, call in op.aggregates))
             return self._annotate(node, op)
@@ -172,7 +171,7 @@ class _Lowerer:
 
         if isinstance(op, Sort):
             node = SortNode(self.lower(op.input), op.keys,
-                            Frame.index_for(op.input.schema))
+                            op.input.schema.index)
             node.sublinks = self._collect_sublinks(
                 tuple(key.expr for key in op.keys))
             return self._annotate(node, op)
@@ -200,8 +199,7 @@ class _Lowerer:
         if condition == TRUE:
             # the index conjunct absorbed the whole selection
             return self._annotate(child, op, node_is_scan=scan is not None)
-        node = Filter(child, condition,
-                      Frame.index_for(op.input.schema))
+        node = Filter(child, condition, op.input.schema.index)
         node.sublinks = self._collect_sublinks((condition,))
         return self._annotate(node, op)
 
@@ -306,7 +304,7 @@ class _Lowerer:
 
     def _lower_join(self, op: Join) -> PhysicalOperator:
         right_width = len(op.right.schema)
-        index = Frame.index_for(op.schema)
+        index = op.schema.index
 
         if self.force_nested_loop:
             condition = None if op.condition == TRUE else op.condition

@@ -40,7 +40,7 @@ from ..expressions.compiler import (
 )
 from ..expressions.evaluator import EvalContext, Frame, evaluate
 from ..expressions.aggregates import make_accumulator
-from ..expressions.printer import format_expr, format_items
+from ..expressions.printer import format_expr
 from ..algebra.operators import JoinKind, SetOpKind, SortKey
 from ..relation import Relation
 from ..schema import Schema
@@ -437,7 +437,9 @@ class Project(PhysicalOperator):
 
     def label(self) -> str:
         kind = "Distinct" if self.distinct else "Project"
-        return f"{kind} [{format_items(zip(self.names, self.exprs))}]"
+        items = ", ".join(f"{format_expr(expr)} AS {name}"
+                          for name, expr in zip(self.names, self.exprs))
+        return f"{kind} [{items}]"
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +853,10 @@ class HashAggregate(PhysicalOperator):
         return batch
 
     def label(self) -> str:
-        return (f"HashAggregate group={list(self.group)} "
-                f"[{format_items(self.aggregates)}]")
+        aggs = ", ".join(
+            f"{format_expr(call)} AS {name}"
+            for name, call in self.aggregates)
+        return f"HashAggregate group={list(self.group)} [{aggs}]"
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from ..expressions.ast import Col, Expr
 from ..expressions.compiler import (
     VectorPredicate, compile_vector_predicate, compile_vector_values,
 )
-from ..expressions.printer import format_expr, format_items
+from ..expressions.printer import format_expr
 from .columnar import Column, ColumnBatch, column_from_values, table_columns
 from .physical import (
     Filter, HashAggregate, HashJoin, NestedLoopJoin, PhysicalOperator,
@@ -286,7 +286,9 @@ class VProject(VectorOperator):
 
     def label(self) -> str:
         kind = "Distinct" if self.distinct else "Project"
-        return f"{kind} [{format_items(zip(self.names, self.exprs))}]"
+        items = ", ".join(f"{format_expr(expr)} AS {name}"
+                          for name, expr in zip(self.names, self.exprs))
+        return f"{kind} [{items}]"
 
 
 class VHashJoin(VectorOperator):
@@ -605,8 +607,10 @@ class VHashAggregate(VectorOperator):
             rows, len(self.group) + len(self.aggregates))
 
     def label(self) -> str:
-        return (f"HashAggregate group={list(self.group)} "
-                f"[{format_items(self.aggregates)}]")
+        aggs = ", ".join(
+            f"{format_expr(call)} AS {name}"
+            for name, call in self.aggregates)
+        return f"HashAggregate group={list(self.group)} [{aggs}]"
 
 
 class VNestedLoopJoin(VectorOperator):

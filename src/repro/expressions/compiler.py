@@ -70,6 +70,13 @@ def compile_expr(expr: Expr,
     gc-tracked), and *memo* (node identity -> function, for one
     compilation) makes a subtree used several times — the tested value
     of an ``IN`` list — one function.
+
+    Per-row functions (``(ctx)`` here, ``(row, ctx)`` in
+    :func:`compile_row`) bind positionally: a keyword-only default is a
+    dict lookup per binding per call, 4-5 % of ``tpch_sublink`` and
+    ``synth_sublink``.  Callers hold them as :data:`Compiled` /
+    :data:`RowCompiled`, which admit no extra argument.  The per-batch
+    functions operators call bind keyword-only.
     """
     if memo is None:
         memo = {}
@@ -215,7 +222,7 @@ def _compile_expr(expr: Expr, memo: dict[int, Compiled]) -> Compiled:
 #: A row-specialized evaluator: positions resolved at compile time where
 #: possible.  The second element reports whether the closure reads the
 #: EvalContext (outer frames, parameters, sublinks, name-indexed lookups).
-RowCompiled = Callable[..., Any]
+RowCompiled = Callable[[tuple, "EvalContext | None"], Any]
 
 #: Comparison dispatch hoisted to compile time (vs the string-op chain
 #: :func:`repro.datatypes.compare` walks per call).
@@ -281,8 +288,8 @@ def _compile_row_node(expr: Expr, env: _RowEnv) -> _RowResult:
         return (lambda row, ctx, value=expr.value: value), False, True
 
     if isinstance(expr, Col) and expr.level == 0 and expr.name in index:
-        return (lambda row, ctx, position=index[expr.name]: row[position]), \
-            False, False
+        return (lambda row, ctx, position=index[expr.name]:
+                row[position]), False, False
 
     if isinstance(expr, Comparison):
         left, left_ctx, left_const = _compile_row(expr.left, env)
@@ -390,11 +397,11 @@ def compile_batch_predicate(expr: Expr,
     """
     fn, needs_ctx = compile_row(expr, index)
     if not needs_ctx:
-        def run_free(rows, frames, runner, params, fn=fn):
+        def run_free(rows, frames, runner, params, *, fn=fn):
             return [row for row in rows if is_true(fn(row, None))]
         return run_free
 
-    def run(rows, frames, runner, params, fn=fn, index=index):
+    def run(rows, frames, runner, params, *, fn=fn, index=index):
         frame, ctx = _make_state(index, frames, runner, params)
         out = []
         for row in rows:
@@ -422,19 +429,19 @@ def compile_batch_projector(exprs: Sequence[Expr],
         if positions == tuple(range(len(index))):
             return lambda rows, frames, runner, params: rows
         if len(positions) == 1:
-            return lambda rows, frames, runner, params, \
+            return lambda rows, frames, runner, params, *, \
                 position=positions[0]: [(row[position],) for row in rows]
-        return lambda rows, frames, runner, params, \
+        return lambda rows, frames, runner, params, *, \
             getter=itemgetter(*positions): [getter(row) for row in rows]
 
     compiled = [compile_row(expr, index) for expr in exprs]
     fns = tuple([fn for fn, _ in compiled])
     if not any(flag for _, flag in compiled):
-        def run_free(rows, frames, runner, params, fns=fns):
+        def run_free(rows, frames, runner, params, *, fns=fns):
             return [tuple([fn(row, None) for fn in fns]) for row in rows]
         return run_free
 
-    def run(rows, frames, runner, params, fns=fns, index=index):
+    def run(rows, frames, runner, params, *, fns=fns, index=index):
         frame, ctx = _make_state(index, frames, runner, params)
         out = []
         for row in rows:
@@ -450,11 +457,11 @@ def compile_batch_values(expr: Expr,
     (one value per input row) for aggregate arguments and similar."""
     fn, needs_ctx = compile_row(expr, index)
     if not needs_ctx:
-        def run_free(rows, frames, runner, params, fn=fn):
+        def run_free(rows, frames, runner, params, *, fn=fn):
             return [fn(row, None) for row in rows]
         return run_free
 
-    def run(rows, frames, runner, params, fn=fn, index=index):
+    def run(rows, frames, runner, params, *, fn=fn, index=index):
         frame, ctx = _make_state(index, frames, runner, params)
         out = []
         for row in rows:

@@ -20,7 +20,6 @@ from ..datatypes import (
 )
 from ..errors import ExecutionError, ExpressionError
 from ..datatypes import SQLType
-from ..schema import Schema
 from .ast import (
     AggCall, Arith, BoolOp, Case, Cast, Col, Comparison, Const, Expr,
     FuncCall, IsNull, Like, Neg, Not, NullSafeEq, Param, Sublink,
@@ -39,11 +38,8 @@ class Frame:
         self.row = row
 
     @classmethod
-    def index_for(cls, names: Sequence[str] | Schema) -> dict[str, int]:
-        """The name index shared by all rows of an operator — a schema's
-        own (read-only) index, or one built for a list of names."""
-        if isinstance(names, Schema):
-            return names.index
+    def index_for(cls, names: Sequence[str]) -> dict[str, int]:
+        """Precompute the name index shared by all rows of an operator."""
         return {name: position for position, name in enumerate(names)}
 
 
@@ -220,3 +216,8 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Any:
         raise ExpressionError(
             "aggregate call evaluated outside an Aggregate operator")
     raise ExpressionError(f"cannot evaluate expression node {expr!r}")
+
+
+def evaluate_predicate(expr: Expr, ctx: EvalContext) -> bool:
+    """WHERE semantics: unknown filters the row out."""
+    return is_true(evaluate(expr, ctx))

@@ -68,9 +68,3 @@ def format_expr(expr: Expr) -> str:
         return (f"({format_expr(expr.test)} {expr.op} "
                 f"{expr.kind.name}({body}))")
     return f"<{type(expr).__name__}>"
-
-
-def format_items(items) -> str:
-    """``expr AS name, ...`` for ``(name, expr)`` pairs."""
-    return ", ".join(
-        f"{format_expr(expr)} AS {name}" for name, expr in items)
