@@ -159,13 +159,3 @@ class CallGraph:
             if not self.reverse.get(qualname):
                 roots.append(qualname)
         return roots
-
-    def callers_of(self, qualname: str) -> set[str]:
-        return set(self.reverse.get(qualname, ()))
-
-    def functions_calling_name(self, name: str) -> set[str]:
-        """Callers recording an *unresolved* attribute call whose
-        terminal is *name* — the conservative complement to resolved
-        edges when a rule must not miss call sites."""
-        return {caller for caller, names in self.name_calls.items()
-                if name in names}

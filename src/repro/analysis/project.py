@@ -126,18 +126,6 @@ class FunctionInfo:
     facts: FunctionFacts = field(default_factory=FunctionFacts)
 
     @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
-    @property
-    def is_nested(self) -> bool:
-        return self.parent is not None
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
-
-    @property
     def class_qualname(self) -> str | None:
         if self.class_name is None:
             return None

@@ -93,14 +93,6 @@ class SessionConfig:
         first record arrives so more committers can join the batch:
         higher commit latency, fewer fsyncs under sustained load.
         Engine-level, fixed when the store opens.
-    ``commit_locking``
-        Commit concurrency mode.  ``"table"`` (the default): a commit
-        locks only its conflict set through the per-name lock manager,
-        so disjoint-table transactions validate and publish in
-        parallel.  ``"global"``: every commit takes the commit
-        barrier's write side — the pre-lock-manager behavior, kept as
-        the benchmark baseline and a belt-and-braces escape hatch.
-        Engine-level (the locks live on the shared engine).
     ``checkpoint_wal_mb``
         WAL size budget, in MiB, that triggers a *background*
         checkpoint on a durable engine (the flusher signals a
@@ -134,7 +126,6 @@ class SessionConfig:
     autocommit: bool = True
     durability: str = "commit"
     group_commit_ms: float = 0.0
-    commit_locking: str = "table"
     checkpoint_wal_mb: int = 64
     max_parallel_workers: int = field(
         default_factory=lambda: _env_int("REPRO_PARALLEL", 0))
@@ -165,10 +156,6 @@ class SessionConfig:
             raise InterfaceError(
                 f"group_commit_ms must be >= 0, got "
                 f"{self.group_commit_ms}")
-        if self.commit_locking not in ("table", "global"):
-            raise InterfaceError(
-                f"unknown commit_locking {self.commit_locking!r}; "
-                f"expected one of ['table', 'global']")
         if self.checkpoint_wal_mb < 0:
             raise InterfaceError(
                 f"checkpoint_wal_mb must be >= 0, got "

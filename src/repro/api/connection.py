@@ -61,7 +61,7 @@ from ..engine import ExecutionStats, Executor
 from ..engine.cost import CardinalityEstimator
 from ..engine.physical import PhysicalPlan, explain_physical
 from ..expressions.ast import Expr
-from ..expressions.evaluator import EvalContext, Frame, evaluate
+from ..expressions.evaluator import EvalContext, evaluate
 from ..algebra.operators import Operator
 from ..algebra.printer import explain as explain_plan
 from ..provenance import ProvenanceRewriter
@@ -503,7 +503,8 @@ class Connection:
                 self.config.parallel_threshold, self.config.engine)
         return physical
 
-    def _logical_plan(self, statement: SelectStmt, override: str | None,
+    def _logical_plan(self, statement: SelectStmt | DeleteStmt,
+                      override: str | None,
                       catalog: Catalog,
                       estimator: CardinalityEstimator | None = None,
                       optimized: bool = True
@@ -514,7 +515,8 @@ class Connection:
         the statement is left untouched.  Every phase prices with the
         statement's one *estimator*."""
         estimator = estimator or CardinalityEstimator(catalog)
-        strategy = self._effective_strategy(statement, override)
+        strategy = self._effective_strategy(statement, override) \
+            if isinstance(statement, SelectStmt) else None
         plan = Analyzer(catalog).analyze(statement)
         accesses: list[BaseAccess] | None = None
         if strategy:
@@ -527,8 +529,8 @@ class Connection:
             plan = optimize(plan, catalog, estimator)
         return plan, accesses, strategy
 
-    def _plan(self, statement: SelectStmt, override: str | None,
-              catalog: Catalog) -> CachedPlan:
+    def _plan(self, statement: SelectStmt | DeleteStmt,
+              override: str | None, catalog: Catalog) -> CachedPlan:
         """The one planner: analyze → rewrite → optimize → lower, into
         an executable (not yet cached) :class:`CachedPlan`.
         :meth:`_get_plan` wraps it with cache lookup/store; the one-shot
@@ -558,7 +560,7 @@ class Connection:
                 catalog.version, catalog.stats_version)
 
     def _get_plan(self, sql: str, override: str | None = None,
-                  statement: SelectStmt | None = None,
+                  statement: SelectStmt | DeleteStmt | None = None,
                   catalog: Catalog | None = None) -> CachedPlan:
         """The cached plan for *sql*, compiling (and storing) on a miss.
 
@@ -569,6 +571,10 @@ class Connection:
         if catalog is None:
             catalog = self._read_catalog()
         key = self._plan_key(sql, override, catalog)
+        if isinstance(statement, DeleteStmt):
+            # _execute_text probes the cache with the bare text before
+            # parsing and runs whatever it finds as a SELECT
+            key = ("delete", *key)
         cache = self._active_cache()
         cached = cache.lookup(key)
         if cached is None:
@@ -640,7 +646,7 @@ class Connection:
                 self.begin()                 # implicit DB-API transaction
             if isinstance(statement, SelectStmt):
                 return self._run_select_cached(sql, statement, params)
-            return self._run_statement(statement, params)
+            return self._run_statement(statement, params, sql)
         catalog = self._read_catalog()
         cache = self._active_cache()
         if cache.peek(self._plan_key(sql, None, catalog)) is not None:
@@ -648,7 +654,7 @@ class Connection:
         statement = self._parse(sql)
         if isinstance(statement, SelectStmt):
             return self._run_select_cached(sql, statement, params, catalog)
-        return self._run_statement(statement, params)
+        return self._run_statement(statement, params, sql)
 
     def _run_select_cached(self, sql: str, statement: SelectStmt | None,
                            params: Sequence[Any],
@@ -726,8 +732,11 @@ class Connection:
                     txn.commit()
 
     def _run_statement(self, statement: Statement,
-                       params: Sequence[Any] = ()) -> Result | int | None:
-        """Execute a parsed statement (the non-plan-cached dispatch)."""
+                       params: Sequence[Any] = (),
+                       sql: str | None = None) -> Result | int | None:
+        """Execute a parsed statement (the non-plan-cached dispatch;
+        *sql*, when the caller has the text, lets a ``DELETE ... WHERE``
+        cache its scan's plan under it)."""
         values = check_arity(getattr(statement, "param_count", 0), params)
         if isinstance(statement, SelectStmt):
             return self._run_select(statement, params=values)
@@ -744,10 +753,11 @@ class Connection:
             self._engine.checkpoint()
             return None
         return self._write(
-            lambda txn: self._apply_statement(txn, statement, values))
+            lambda txn: self._apply_statement(txn, statement, values, sql))
 
     def _apply_statement(self, txn: Transaction, statement: Statement,
-                         values: tuple) -> int | None:
+                         values: tuple, sql: str | None = None
+                         ) -> int | None:
         """Apply one write statement to a transaction's private state."""
         if isinstance(statement, CreateTableStmt):
             schema = Schema(
@@ -784,29 +794,36 @@ class Connection:
                 txn.drop_table(statement.name)
             return None
         if isinstance(statement, DeleteStmt):
-            return self._delete(txn, statement, values)
+            return self._delete(txn, statement, values, sql)
         raise ReproError(f"unsupported statement {statement!r}")
 
     def _delete(self, txn: Transaction, statement: DeleteStmt,
-                params: tuple) -> int:
+                params: tuple, sql: str | None) -> int:
         stored = txn.table_for_write(statement.table)
         if statement.where is None:
             removed_rows = stored.rows
             stored.rows = []    # rebind: open streams keep the old list
             txn.delete_rows(statement.table, removed_rows)
             return len(removed_rows)
-        condition = Analyzer(txn.catalog).analyze_expression(
-            statement.where, stored.schema, qualifier=statement.table)
-        executor = Executor(txn.catalog, config=self.config)
-        index = Frame.index_for(stored.schema.names)
+        # The scan of the doomed rows is planned and run like a SELECT,
+        # but on serial row operators: they hand back the stored tuples
+        # themselves, which the vectorized engine and Gather rebuild —
+        # and removal is by identity, so equal stored tuples stay apart.
+        session_config = self.config
+        self.config = session_config.with_options(
+            engine="pipelined", max_parallel_workers=0)
+        try:
+            catalog = txn.catalog
+            cached = self._plan(statement, None, catalog) if sql is None \
+                else self._get_plan(sql, None, statement, catalog)
+            doomed = self._execute_plan(cached, params, catalog).rows
+        finally:
+            self.config = session_config
+        doomed_ids = set(map(id, doomed))
         kept = []
         removed_rows = []
         for row in stored.rows:
-            ctx = EvalContext((Frame(index, row),), executor, params)
-            if evaluate(condition, ctx) is not True:
-                kept.append(row)
-            else:
-                removed_rows.append(row)
+            (removed_rows if id(row) in doomed_ids else kept).append(row)
         stored.rows = kept      # rebind: open streams keep the old list
         txn.delete_rows(statement.table, removed_rows)
         return len(removed_rows)

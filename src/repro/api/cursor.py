@@ -134,7 +134,8 @@ class Cursor:
             return self
         with connection._bulk():
             for params in seq_of_params:
-                result = connection._run_statement(statement, params)
+                result = connection._run_statement(statement, params,
+                                                   sql)
                 if isinstance(result, int):
                     saw_count = True
                     total += result

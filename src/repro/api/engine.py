@@ -436,8 +436,7 @@ class Engine:
         ``docs/invariants.md``):
 
         1. ``commit_barrier`` — read side for a table-scoped commit,
-           write side when the diff is catalog-wide (view DDL) or the
-           engine runs with ``commit_locking="global"``;
+           write side when the diff is catalog-wide (view DDL);
         2. the per-name commit locks of the transaction's conflict set,
            in :class:`TableLockManager`'s canonical sorted order;
         3. ``self.lock`` — read side while validation gathers live
@@ -451,7 +450,7 @@ class Engine:
         from .transaction import (compute_commit_diff, publish_commit,
                                   validate_commit)
         diff = compute_commit_diff(txn)
-        if diff.catalog_wide or self.config.commit_locking == "global":
+        if diff.catalog_wide:
             barrier = self.commit_barrier.write()
         else:
             barrier = self.commit_barrier.read()

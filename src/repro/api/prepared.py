@@ -98,7 +98,8 @@ class PreparedStatement:
             return connection._run_select_cached(
                 self._sql, self._statement, values,
                 override=self._strategy)
-        return connection._run_statement(self._statement, values)
+        return connection._run_statement(self._statement, values,
+                                         self._sql)
 
     __call__ = execute
 

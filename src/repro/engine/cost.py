@@ -54,10 +54,6 @@ DEFAULT_NULL_FRACTION = 0.05
 #: Row count assumed for a table the estimator cannot see at all.
 DEFAULT_TABLE_ROWS = 1000.0
 
-#: ``const <op> col`` normalized to ``col <flipped-op> const`` — the
-#: evaluator's flip table, re-exported for the planner's convenience.
-FLIP_COMPARISON = FLIPPED_COMPARISON
-
 # -- per-row cost constants (arbitrary units: one row touched ~ 1.0) --------
 
 HASH_BUILD_COST = 1.5      # insert one row into a join hash table
@@ -136,10 +132,6 @@ class CardinalityEstimator:
     def estimate(self, op: Operator) -> float:
         """Estimated output rows of *op* (>= 0)."""
         return self._visit(op)[0]
-
-    def column_map(self, op: Operator) -> ColumnMap:
-        """Base-column lineage of *op*'s visible columns."""
-        return self._visit(op)[1]
 
     def selectivity(self, condition: Expr, op_input: Operator) -> float:
         """Estimated fraction of *op_input*'s rows satisfying *condition*."""
@@ -406,7 +398,7 @@ def _range_fraction(stats: ColumnStats | None, op: str, value: Any,
     if not isinstance(low, Number) or not isinstance(high, Number):
         return None
     if flipped:   # value <op> column  ->  column <flipped-op> value
-        op = FLIP_COMPARISON.get(op, op)
+        op = FLIPPED_COMPARISON.get(op, op)
     if high == low:
         below = 1.0 if value >= high else 0.0
     else:

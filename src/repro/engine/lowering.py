@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 
 from ..catalog import Catalog
-from ..datatypes import SQLType
+from ..datatypes import FLIPPED_COMPARISON, SQLType
 from ..errors import ExecutionError
 from ..expressions.ast import (
     Arith, Cast, Col, Comparison, Const, Expr, FuncCall, Like,
@@ -54,8 +54,8 @@ from ..algebra.operators import (
     Select, SetOp, Sort, Values,
 )
 from .cost import (
-    CardinalityEstimator, FLIP_COMPARISON, HASH_BUILD_COST,
-    HASH_PROBE_COST, INDEX_PROBE_COST, NLJ_COMPARE_COST, SORT_FACTOR,
+    CardinalityEstimator, HASH_BUILD_COST, HASH_PROBE_COST,
+    INDEX_PROBE_COST, NLJ_COMPARE_COST, SORT_FACTOR,
 )
 from .physical import (
     Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan,
@@ -97,7 +97,6 @@ def split_equi_keys(op: Join) -> tuple[list[tuple[int, int]], list[Expr]]:
 
 def lower_plan(op: Operator, catalog: Catalog | None = None, *,
                use_indexes: bool = True,
-               force_nested_loop: bool = False,
                estimator: CardinalityEstimator | None = None
                ) -> PhysicalPlan:
     """Lower an (already logically optimized) operator tree.
@@ -106,12 +105,9 @@ def lower_plan(op: Operator, catalog: Catalog | None = None, *,
     pricing with *estimator* when the caller already has one for this
     statement; without it, rule-only.  ``use_indexes=False`` disables
     IndexScan / IndexNestedLoopJoin selection (plans as if no index
-    existed); ``force_nested_loop=True`` lowers every join to a
-    :class:`NestedLoopJoin` — a benchmarking hook that lets the smoke
-    bench price one join algorithm against another on identical inputs.
+    existed).
     """
     lowerer = _Lowerer(catalog, use_indexes=use_indexes,
-                       force_nested_loop=force_nested_loop,
                        estimator=estimator)
     root = lowerer.lower(op)
     return PhysicalPlan(root, op, op.schema, lowerer.registry)
@@ -123,11 +119,9 @@ class _Lowerer:
     cost-based choices."""
 
     def __init__(self, catalog: Catalog | None, use_indexes: bool = True,
-                 force_nested_loop: bool = False,
                  estimator: CardinalityEstimator | None = None) -> None:
         self.catalog = catalog
         self.use_indexes = use_indexes and catalog is not None
-        self.force_nested_loop = force_nested_loop
         self.estimator = None if catalog is None \
             else estimator or CardinalityEstimator(catalog)
         self.registry: SubplanRegistry = {}
@@ -274,7 +268,7 @@ class _Lowerer:
         candidates = (
             (part.left, part.right, part.op),
             (part.right, part.left,
-             FLIP_COMPARISON.get(part.op, part.op)),
+             FLIPPED_COMPARISON.get(part.op, part.op)),
         )
         for col_side, key_side, op in candidates:
             if not (isinstance(col_side, Col) and col_side.level == 0
@@ -305,14 +299,6 @@ class _Lowerer:
     def _lower_join(self, op: Join) -> PhysicalOperator:
         right_width = len(op.right.schema)
         index = op.schema.index
-
-        if self.force_nested_loop:
-            condition = None if op.condition == TRUE else op.condition
-            node = NestedLoopJoin(self.lower(op.left), self.lower(op.right),
-                                  condition, op.kind, right_width, index)
-            if condition is not None:
-                node.sublinks = self._collect_sublinks((condition,))
-            return self._annotate(node, op)
 
         if op.condition == TRUE:
             node = NestedLoopJoin(self.lower(op.left), self.lower(op.right),

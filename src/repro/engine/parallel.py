@@ -189,12 +189,6 @@ def partition_map(rows: list, position: int,
     return buckets
 
 
-def clear_partition_cache() -> None:
-    """Drop every cached partition map (tests and benchmarks)."""
-    with _map_lock:
-        _MAP_CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # Serial partition pruning
 # ---------------------------------------------------------------------------

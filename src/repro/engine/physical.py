@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from ..datatypes import is_true
 from ..expressions.ast import Expr, Sublink
 from ..expressions.compiler import (
-    BatchFilter, BatchProjector, BatchValues, RowCompiled,
+    BatchFilter, BatchProjector, BatchValues, Compiled, RowCompiled,
     compile_batch_predicate, compile_batch_projector, compile_batch_values,
-    compile_row,
+    compile_expr, compile_row,
 )
-from ..expressions.evaluator import EvalContext, Frame, evaluate
+from ..expressions.evaluator import EvalContext, Frame
 from ..expressions.aggregates import make_accumulator
 from ..expressions.printer import format_expr
 from ..algebra.operators import JoinKind, SetOpKind, SortKey
@@ -234,7 +234,7 @@ class IndexScan(PhysicalOperator):
     """
 
     __slots__ = ("table", "alias", "names", "column", "position", "op",
-                 "key_expr", "index_kind", "_rows", "_pos")
+                 "key_expr", "index_kind", "_key_fn", "_rows", "_pos")
 
     def __init__(self, table: str, alias: str, names: tuple[str, ...],
                  column: str, position: int, op: str, key_expr: Expr,
@@ -248,12 +248,15 @@ class IndexScan(PhysicalOperator):
         self.op = op
         self.key_expr = key_expr
         self.index_kind = index_kind
+        self._key_fn: Compiled | None = None
         self._rows: list[tuple] = []
         self._pos = 0
 
     def _key_value(self) -> Any:
-        context = EvalContext(self.frames, self.engine, self.engine.params)
-        return evaluate(self.key_expr, context)
+        if self._key_fn is None:
+            self._key_fn = compile_expr(self.key_expr)
+        return self._key_fn(
+            EvalContext(self.frames, self.engine, self.engine.params))
 
     def _reset(self) -> None:
         self._pos = 0
@@ -950,22 +953,17 @@ class SetOperation(PhysicalOperator):
 # Ordering and limits
 # ---------------------------------------------------------------------------
 
-def sort_rows(rows: list[tuple], keys: Sequence[SortKey], frames: tuple,
-              index: dict[str, int], runner: Any, params: tuple) -> None:
-    """In-place multi-key sort with SQL NULL ordering (NULLs first
-    ascending, last descending); shared by both engines."""
-    for key in reversed(keys):
-        def eval_key(row: tuple, key=key):
-            return evaluate(
-                key.expr,
-                EvalContext((*frames, Frame(index, row)), runner, params))
-
-        if key.ascending:
-            rows.sort(key=lambda row, eval_key=eval_key: _asc_key(
-                eval_key(row)))
-        else:
-            rows.sort(key=lambda row, eval_key=eval_key: _desc_key(
-                eval_key(row)))
+def sort_order(keys: Sequence[SortKey], vectors: Sequence[list],
+               count: int) -> list[int]:
+    """The positions ``0..count-1`` in multi-key sort order, given one
+    value vector per sort key: stable passes from the last key to the
+    first, SQL NULL ordering (NULLs first ascending, last descending).
+    Shared by :class:`SortNode` and the vectorized ``VSort``."""
+    order = list(range(count))
+    for key, vector in zip(reversed(keys), reversed(vectors)):
+        wrap = _asc_key if key.ascending else _desc_key
+        order.sort(key=[wrap(value) for value in vector].__getitem__)
+    return order
 
 
 def _asc_key(value: Any) -> tuple:
@@ -993,10 +991,11 @@ def _desc_key(value: Any) -> _DescWrapper:
 
 
 class SortNode(PhysicalOperator):
-    """Blocking sort: drains the input, applies the shared multi-key SQL
+    """Blocking sort: drains the input, computes one batch-compiled
+    value vector per sort key, applies the shared multi-key SQL
     NULL-ordering sort, emits in batches."""
 
-    __slots__ = ("child", "keys", "index", "_result", "_pos")
+    __slots__ = ("child", "keys", "index", "_fns", "_result", "_pos")
 
     def __init__(self, child: PhysicalOperator, keys: tuple[SortKey, ...],
                  index: dict[str, int]) -> None:
@@ -1004,6 +1003,7 @@ class SortNode(PhysicalOperator):
         self.child = child
         self.keys = keys
         self.index = index
+        self._fns: list[BatchValues] | None = None
         self._result: list[tuple] | None = None
         self._pos = 0
 
@@ -1017,17 +1017,25 @@ class SortNode(PhysicalOperator):
     def _release(self) -> None:
         self._result = None
 
+    def _key_fns(self) -> list[BatchValues]:
+        if self._fns is None:
+            self._fns = [compile_batch_values(key.expr, self.index)
+                         for key in self.keys]
+        return self._fns
+
     def next_batch(self) -> list | None:
         if self._result is None:
+            engine = self.engine
             rows: list[tuple] = []
             while True:
-                batch = self.engine.pull(self.child)
+                batch = engine.pull(self.child)
                 if batch is None:
                     break
                 rows.extend(batch)
-            sort_rows(rows, self.keys, self.frames, self.index,
-                      self.engine, self.engine.params)
-            self._result = rows
+            vectors = [fn(rows, self.frames, engine, engine.params)
+                       for fn in self._key_fns()]
+            self._result = [
+                rows[i] for i in sort_order(self.keys, vectors, len(rows))]
             self._pos = 0
         if self._pos >= len(self._result):
             return None

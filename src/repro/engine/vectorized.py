@@ -42,7 +42,7 @@ from .columnar import Column, ColumnBatch, column_from_values, table_columns
 from .physical import (
     Filter, HashAggregate, HashJoin, NestedLoopJoin, PhysicalOperator,
     PhysicalPlan, Project, SeqScan, SetOperation, SortNode,
-    StreamingLimit, ValuesScan, _asc_key, _desc_key,
+    StreamingLimit, ValuesScan, sort_order,
 )
 
 __all__ = ["vectorize_plan"]
@@ -755,7 +755,7 @@ class VSort(VectorOperator):
     *selection* order — output batches are selections over the collected
     columns, so no row tuple is ever formed.  Key semantics (stable
     multi-key, NULLs first ascending / last descending) are shared with
-    the row engine's ``sort_rows``."""
+    the row engine through ``sort_order``."""
 
     __slots__ = ("child", "keys", "index", "kernels", "_columns",
                  "_order", "_pos")
@@ -816,13 +816,8 @@ class VSort(VectorOperator):
             self._columns = []
             self._order = []
             return
-        order = list(range(len(values[0]) if values else 0))
-        for key, vector in zip(reversed(self.keys),
-                               reversed(key_vectors)):
-            if key.ascending:
-                order.sort(key=lambda i, v=vector: _asc_key(v[i]))
-            else:
-                order.sort(key=lambda i, v=vector: _desc_key(v[i]))
+        order = sort_order(self.keys, key_vectors,
+                           len(values[0]) if values else 0)
         self._columns = [Column(values[c], kinds[c] or "any", nulls[c])
                          for c in range(len(values))]
         self._order = order

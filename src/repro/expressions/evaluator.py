@@ -216,8 +216,3 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Any:
         raise ExpressionError(
             "aggregate call evaluated outside an Aggregate operator")
     raise ExpressionError(f"cannot evaluate expression node {expr!r}")
-
-
-def evaluate_predicate(expr: Expr, ctx: EvalContext) -> bool:
-    """WHERE semantics: unknown filters the row out."""
-    return is_true(evaluate(expr, ctx))

@@ -36,8 +36,8 @@ from ..algebra.operators import (
 from ..algebra.trees import transform
 from ..schema import Attribute, Schema, disambiguate
 from .ast import (
-    JoinExpr, OrderItem, SelectItem, SelectStmt, Star, SubqueryRef,
-    TableRef,
+    DeleteStmt, JoinExpr, OrderItem, SelectItem, SelectStmt, Star,
+    SubqueryRef, TableRef,
 )
 
 _SET_OP_KINDS = {
@@ -109,9 +109,12 @@ class Analyzer:
 
     # -- entry point -----------------------------------------------------------
 
-    def analyze(self, stmt: SelectStmt,
+    def analyze(self, stmt: SelectStmt | DeleteStmt,
                 outer: Scope | None = None) -> Operator:
-        """Analyze a full SELECT (set ops, ORDER BY, LIMIT included)."""
+        """Analyze a full SELECT (set ops, ORDER BY, LIMIT included), or
+        a ``DELETE ... WHERE`` into the scan of the rows it removes."""
+        if isinstance(stmt, DeleteStmt):
+            return self._analyze_delete(stmt)
         plan = self._analyze_core(stmt, outer)
         hidden_sort_allowed = not stmt.set_ops and not stmt.distinct \
             and not stmt.group_by and self._core_scope is not None
@@ -202,6 +205,16 @@ class Analyzer:
                 "ORDER BY keys must be output column labels or ordinals "
                 f"(got {expr!r})")
         return keys
+
+    def _analyze_delete(self, stmt: DeleteStmt) -> Operator:
+        """``Select(BaseRelation)`` with no projection above it, so the
+        row engine hands back the stored tuples themselves.  Columns
+        resolve by bare name or as ``table.name``; sublinks see the
+        table's columns as their (only) outer scope."""
+        plan, entries = self._table_ref(TableRef(stmt.table), set())
+        scope = Scope()
+        scope.add_all(entries)
+        return Select(plan, self._analyze_expr(stmt.where, scope))
 
     # -- one SELECT core ----------------------------------------------------------
 
@@ -458,21 +471,6 @@ class Analyzer:
                         f"be used in an aggregate function")
 
     # -- expressions -----------------------------------------------------------------------
-
-    def analyze_expression(self, expr: Expr, schema: Schema,
-                           qualifier: str | None = None) -> Expr:
-        """Resolve a standalone expression against *schema*'s columns.
-
-        The public entry point for analyzing expressions outside a full
-        SELECT — e.g. a ``DELETE ... WHERE`` condition.  Columns resolve by
-        bare name, or as ``qualifier.name`` when *qualifier* is given.
-        Sublinks in *expr* are analyzed with the schema's columns visible
-        as the (only) outer scope.
-        """
-        scope = Scope()
-        for attr in schema:
-            scope.add(qualifier, attr.name, attr.name)
-        return self._analyze_expr(expr, scope)
 
     def _analyze_expr(self, expr: Expr, scope: Scope) -> Expr:
         def rule(node: Expr) -> Expr | None:

@@ -49,7 +49,7 @@ from repro.algebra.operators import (
 from repro.algebra.properties import is_correlated
 from repro.engine.lowering import split_equi_keys
 from repro.engine.optimizer import optimize
-from repro.engine.physical import sort_rows
+from repro.engine.physical import sort_order
 from repro.engine.stats import ExecutionStats
 from repro.expressions.aggregates import make_accumulator
 from repro.relation import Relation
@@ -316,5 +316,6 @@ class OracleEngine:
     def _eval_sort(self, op: Sort, frames: Frames) -> list[tuple]:
         rows = list(self._eval(op.input, frames))
         index = Frame.index_for(op.input.schema.names)
-        sort_rows(rows, op.keys, frames, index, self, self._params)
-        return rows
+        vectors = [[evaluate(key.expr, self._context(frames, index, row))
+                    for row in rows] for key in op.keys]
+        return [rows[i] for i in sort_order(op.keys, vectors, len(rows))]

@@ -286,7 +286,7 @@ class TestOneShotHelpers:
         rows = db.sql("SELECT a FROM r", strategy="gen").rows
         assert rows == [(1, 1)]  # provenance column appended
 
-    def test_delete_uses_public_analyzer_entry_point(self):
+    def test_delete_with_conjunction(self):
         db = connect()
         db.execute("CREATE TABLE t (x int, y int)")
         db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
@@ -299,30 +299,3 @@ class TestOneShotHelpers:
         db.execute("INSERT INTO t VALUES (1), (2)")
         db.execute("DELETE FROM t WHERE t.x = 2")
         assert db.sql("SELECT x FROM t").rows == [(1,)]
-
-
-class TestAnalyzeExpression:
-    def test_public_expression_analysis(self):
-        from repro.expressions.ast import Col
-        from repro.schema import Attribute, Schema
-        from repro.sql.analyzer import Analyzer
-        from repro.sql.parser import _Parser
-        from repro.sql.lexer import tokenize
-        from repro import Catalog, SQLType
-
-        schema = Schema([Attribute("x", SQLType.INTEGER)])
-        expr = _Parser(tokenize("x + 1")).parse_expr()
-        analyzed = Analyzer(Catalog()).analyze_expression(expr, schema)
-        assert analyzed.left == Col("x")
-
-    def test_unknown_column_raises(self):
-        from repro.schema import Attribute, Schema
-        from repro.sql.analyzer import Analyzer
-        from repro.sql.parser import _Parser
-        from repro.sql.lexer import tokenize
-        from repro import Catalog, SQLType
-
-        schema = Schema([Attribute("x", SQLType.INTEGER)])
-        expr = _Parser(tokenize("y = 1")).parse_expr()
-        with pytest.raises(AnalyzerError, match="unknown column"):
-            Analyzer(Catalog()).analyze_expression(expr, schema)

@@ -325,12 +325,11 @@ class TestPerTableCommitLocking:
         assert count == 2 * rounds
         engine.close()
 
-    @pytest.mark.parametrize("locking", ["table", "global"])
-    def test_balanced_invariant_under_both_locking_modes(self, locking):
-        """The atomic-visibility stress from above, repeated under both
-        commit-locking modes: the lock manager changes throughput, never
-        isolation semantics."""
-        engine = Engine(config=SessionConfig(commit_locking=locking))
+    def test_balanced_invariant_under_table_locking(self):
+        """The atomic-visibility stress from above with writers only:
+        the lock manager changes throughput, never isolation
+        semantics."""
+        engine = Engine()
         setup = engine.connect()
         setup.execute("CREATE TABLE acc (tag int, v int)")
         writers, per_writer = 3, 8

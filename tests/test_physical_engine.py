@@ -65,7 +65,38 @@ ORDERED_QUERIES = [
     "SELECT a, b FROM r ORDER BY b DESC, a",
     "SELECT a FROM r ORDER BY a LIMIT 2",
     "SELECT a FROM r ORDER BY a DESC LIMIT 1 OFFSET 1",
+    # NULL keys (the unmatched LEFT JOIN row): first ascending, last
+    # descending
+    "SELECT a, d FROM r LEFT JOIN s ON a = c ORDER BY d, a",
+    "SELECT a, d FROM r LEFT JOIN s ON a = c ORDER BY d DESC, a DESC",
+    # an expression key, and a sort inside a correlated sublink whose
+    # key reads the outer row
+    "SELECT a, b FROM r ORDER BY a + b DESC, a",
+    "SELECT a, (SELECT c FROM s ORDER BY (c - a) * (c - a), c DESC LIMIT 1) "
+    "AS nearest FROM r ORDER BY a",
 ]
+
+#: Ordered queries with ``?`` in a sort key, as ``(sql, params)``.
+ORDERED_PARAM_QUERIES = [
+    ("SELECT a, b FROM r ORDER BY a * ?, b", (-1,)),
+    ("SELECT a, b FROM r ORDER BY ? - a DESC, b DESC", (10,)),
+]
+
+
+def expression_sort_plan(conn):
+    """A ``Sort`` whose keys are expressions — a correlated scalar
+    sublink (descending, NULL for a = 1) and a ``?`` product.  SQL never
+    builds one (ORDER BY expressions become columns of a projection
+    below the sort), so the keys of that projection are inlined here."""
+    from repro.algebra.operators import Project, Sort, SortKey
+    plan = conn.plan(
+        "SELECT a, b, (SELECT max(c) FROM s WHERE c <= a AND c > 1) AS m, "
+        "b * ? AS p FROM r ORDER BY m DESC, p, a")
+    assert isinstance(plan, Sort) and isinstance(plan.input, Project)
+    exprs = dict(plan.input.items)
+    return Sort(plan.input.input, [
+        SortKey(exprs[key.expr.name], key.ascending)
+        for key in plan.keys])
 
 
 def _populate(conn) -> None:
@@ -109,6 +140,27 @@ class TestEngineParity:
     def test_ordered_parity(self, engines, sql):
         pipelined, materializing = engines
         assert pipelined.sql(sql).rows == materializing.sql(sql).rows
+
+    @pytest.mark.parametrize("sql,params", ORDERED_PARAM_QUERIES)
+    def test_ordered_parity_with_params(self, engines, sql, params):
+        pipelined, materializing = engines
+        assert pipelined.sql(sql, params=params).rows == \
+            materializing.sql(sql, params=params).rows
+
+    @pytest.mark.parametrize("engine", ("pipelined", "vectorized"))
+    def test_expression_sort_keys(self, engine):
+        from oracle_engine import OracleEngine
+        from repro import SessionConfig
+        from repro.engine import Executor
+        conn = connect()
+        _populate(conn)
+        plan = expression_sort_plan(conn)
+        catalog = conn.catalog
+        expected = OracleEngine(catalog).execute(plan, (-1,)).rows
+        assert [row[0] for row in expected] == [3, 2, 2, 1]
+        executor = Executor(catalog, optimize=False,
+                            config=SessionConfig(engine=engine))
+        assert executor.execute(plan, (-1,)).rows == expected
 
     @pytest.mark.parametrize("batch_size", (1, 2, 3, 7, 64))
     def test_parity_across_batch_sizes(self, batch_size):

@@ -294,22 +294,6 @@ class TestStrategyRegistry:
             conn.sql("SELECT PROVENANCE (turbo) a FROM r")
 
 
-class TestSmokeBenchmark:
-    def test_zero_repeats_rejected(self):
-        from repro.bench.smoke import run_smoke
-        with pytest.raises(ValueError, match="repeats"):
-            run_smoke(repeats=0)
-
-    def test_prepared_path_beats_legacy_and_hits_cache(self):
-        from repro.bench.smoke import run_smoke
-        result = run_smoke(repeats=5)
-        assert result.cache_hits == 5
-        # CI enforces the full 2x floor via `python -m repro.bench
-        # --smoke`; here we only require a strict win to avoid timing
-        # flakiness under parallel test load.
-        assert result.speedup > 1.0
-
-
 def tracked_objects(root: object) -> int:
     """gc-tracked objects a cached plan keeps alive: everything
     reachable from *root* except the catalog and what belongs to the

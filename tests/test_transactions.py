@@ -414,6 +414,104 @@ class TestTransactionPlanCache:
         assert sorted(conn.execute("SELECT x FROM v").rows) == [(1,)]
 
 
+#: Session settings whose SELECTs would rebuild row tuples (columnar
+#: batches, worker round trips); a DELETE's scan must not.
+DELETE_SESSIONS = [
+    {},
+    {"engine": "vectorized"},
+    {"max_parallel_workers": 2, "parallel_threshold": 1},
+]
+
+
+class TestDeleteWhere:
+    """``DELETE ... WHERE`` plans its scan through the one planner and
+    removes the stored tuples that scan returns."""
+
+    @pytest.fixture(params=DELETE_SESSIONS, ids=["default", "vectorized",
+                                                 "parallel"])
+    def conn(self, request) -> Connection:
+        conn = connect(**request.param)
+        conn.execute("CREATE TABLE big (k int, v text)")
+        conn.insert("big", [(i % 10, f"v{i}") for i in range(40)])
+        conn.execute("CREATE TABLE other (k int)")
+        conn.insert("other", [(3,), (4,), (4,)])
+        return conn
+
+    @staticmethod
+    def keys(conn) -> list[int]:
+        return sorted(k for k, in conn.execute("SELECT k FROM big").rows)
+
+    def test_equal_stored_tuples_are_all_removed(self, conn):
+        conn.insert("big", [(77, "dup"), (77, "dup"), (77, "other")])
+        assert conn.execute("DELETE FROM big WHERE v = 'dup'") == 2
+        assert conn.execute(
+            "SELECT k, v FROM big WHERE k = 77").rows == [(77, "other")]
+
+    def test_index_covered_equality_probes_the_index(self, conn):
+        conn.execute("CREATE INDEX big_k ON big (k)")
+        assert conn.execute("DELETE FROM big WHERE k = 7") == 4
+        ran = conn.last_stats.operator_evals
+        assert ran.get("IndexScan") == 1 and "SeqScan" not in ran
+        assert 7 not in self.keys(conn)
+        # the index was maintained, not just the row list
+        assert conn.execute("SELECT v FROM big WHERE k = 7").rows == []
+        assert len(conn.execute("SELECT v FROM big WHERE k = 6").rows) == 4
+
+    def test_correlated_exists_on_another_table(self, conn):
+        removed = conn.execute(
+            "DELETE FROM big WHERE EXISTS "
+            "(SELECT 1 FROM other WHERE other.k = big.k) AND v <> 'v3'")
+        assert removed == 7
+        assert self.keys(conn).count(3) == 1
+        assert self.keys(conn).count(4) == 0
+
+    def test_prepared_delete_plans_once(self, conn):
+        ps = conn.prepare("DELETE FROM big WHERE k = ? AND v <> ?")
+        assert ps.execute((1, "v1")) == 3
+        misses = conn.plan_cache.misses
+        assert ps.execute((2, "none")) == 4
+        # the same text through execute(): still a DELETE, not its scan
+        assert conn.execute("DELETE FROM big WHERE k = ? AND v <> ?",
+                            (1, "none")) == 1
+        assert conn.plan_cache.misses == misses
+        assert conn.plan_cache.leased_instances() == 0
+        assert 1 not in self.keys(conn) and 2 not in self.keys(conn)
+
+    def test_unknown_column_raises(self, conn):
+        with pytest.raises(repro.AnalyzerError, match="unknown column"):
+            conn.execute("DELETE FROM big WHERE nosuch = 1")
+        assert len(self.keys(conn)) == 40
+
+    def test_delete_in_transaction_then_rollback(self, conn):
+        conn.execute("CREATE INDEX big_k ON big (k)")
+        conn.begin()
+        assert conn.execute("DELETE FROM big WHERE k < ?", (5,)) == 20
+        assert min(self.keys(conn)) == 5
+        conn.rollback()
+        assert len(self.keys(conn)) == 40
+        assert len(conn.execute("SELECT v FROM big WHERE k = 2").rows) == 4
+
+    def test_lost_race_retries_on_a_fresh_snapshot(self, conn):
+        """An autocommit DELETE that loses first-committer-wins re-runs
+        its cached scan over the retry's snapshot, so it also removes
+        the row the winner added."""
+        rival = conn.engine.connect()
+        sql = "DELETE FROM big WHERE k = 9"
+        inner = conn._execute_plan
+        calls = []
+
+        def racing(cached, params, catalog):
+            calls.append(cached)
+            if len(calls) == 1:      # commits after this attempt's BEGIN
+                rival.execute("INSERT INTO big VALUES (9, 'late')")
+            return inner(cached, params, catalog)
+
+        conn._execute_plan = racing
+        assert conn.execute(sql) == 5
+        assert len(calls) == 2 and calls[0] is calls[1]
+        assert 9 not in self.keys(rival)
+
+
 class TestDBAPIModuleInterface:
     def test_module_globals(self):
         assert repro.apilevel == "2.0"

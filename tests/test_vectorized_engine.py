@@ -24,7 +24,8 @@ from repro.engine.columnar import (
 from repro.errors import ExpressionError
 
 from test_physical_engine import (
-    ORDERED_QUERIES, PARITY_QUERIES, PROVENANCE_QUERIES, _populate,
+    ORDERED_PARAM_QUERIES, ORDERED_QUERIES, PARITY_QUERIES,
+    PROVENANCE_QUERIES, _populate,
 )
 
 
@@ -78,6 +79,12 @@ class TestVectorizedParity:
     def test_ordered_parity(self, engines, sql):
         vectorized, materializing = engines
         assert vectorized.sql(sql).rows == materializing.sql(sql).rows
+
+    @pytest.mark.parametrize("sql,params", ORDERED_PARAM_QUERIES)
+    def test_ordered_parity_with_params(self, engines, sql, params):
+        vectorized, materializing = engines
+        assert vectorized.sql(sql, params=params).rows == \
+            materializing.sql(sql, params=params).rows
 
     @pytest.mark.parametrize("batch_size", (1, 2, 3, 7, 64))
     def test_parity_across_batch_sizes(self, batch_size):
