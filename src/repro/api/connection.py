@@ -805,25 +805,18 @@ class Connection:
             stored.rows = []    # rebind: open streams keep the old list
             txn.delete_rows(statement.table, removed_rows)
             return len(removed_rows)
-        # The scan of the doomed rows is planned and run like a SELECT,
-        # but on serial row operators: they hand back the stored tuples
-        # themselves, which the vectorized engine and Gather rebuild —
-        # and removal is by identity, so equal stored tuples stay apart.
-        session_config = self.config
-        self.config = session_config.with_options(
-            engine="pipelined", max_parallel_workers=0)
-        try:
-            catalog = txn.catalog
-            cached = self._plan(statement, None, catalog) if sql is None \
-                else self._get_plan(sql, None, statement, catalog)
-            doomed = self._execute_plan(cached, params, catalog).rows
-        finally:
-            self.config = session_config
-        doomed_ids = set(map(id, doomed))
+        # The scan of the doomed rows is planned and run like a SELECT.
+        # Removal is by value: an index or an engine may hand back a
+        # tuple that is equal to, but not the same object as, the stored
+        # one — and equal stored tuples share the predicate's fate.
+        catalog = txn.catalog
+        cached = self._plan(statement, None, catalog) if sql is None \
+            else self._get_plan(sql, None, statement, catalog)
+        doomed = set(self._execute_plan(cached, params, catalog).rows)
         kept = []
         removed_rows = []
         for row in stored.rows:
-            (removed_rows if id(row) in doomed_ids else kept).append(row)
+            (removed_rows if row in doomed else kept).append(row)
         stored.rows = kept      # rebind: open streams keep the old list
         txn.delete_rows(statement.table, removed_rows)
         return len(removed_rows)

@@ -414,8 +414,8 @@ class TestTransactionPlanCache:
         assert sorted(conn.execute("SELECT x FROM v").rows) == [(1,)]
 
 
-#: Session settings whose SELECTs would rebuild row tuples (columnar
-#: batches, worker round trips); a DELETE's scan must not.
+#: A DELETE's scan runs on the session's own engine, which may rebuild
+#: row tuples (columnar batches, worker round trips).
 DELETE_SESSIONS = [
     {},
     {"engine": "vectorized"},
@@ -425,7 +425,7 @@ DELETE_SESSIONS = [
 
 class TestDeleteWhere:
     """``DELETE ... WHERE`` plans its scan through the one planner and
-    removes the stored tuples that scan returns."""
+    removes the stored rows equal to the ones that scan returns."""
 
     @pytest.fixture(params=DELETE_SESSIONS, ids=["default", "vectorized",
                                                  "parallel"])
@@ -490,6 +490,23 @@ class TestDeleteWhere:
         conn.rollback()
         assert len(self.keys(conn)) == 40
         assert len(conn.execute("SELECT v FROM big WHERE k = 2").rows) == 4
+
+    def test_delete_through_an_index_after_a_rejected_duplicate(self, conn):
+        """Backing a rejected insert out of ``big_k`` un-indexes *an*
+        equal row, not necessarily the rejected one; the index may then
+        hold a tuple the table does not, and DELETE must not care."""
+        conn.execute("CREATE INDEX big_k ON big (k)")
+        conn.execute("CREATE UNIQUE INDEX big_v ON big (v)")
+        conn.begin()
+        with pytest.raises(IntegrityError):
+            conn.execute("INSERT INTO big VALUES (7, 'v7')")
+        assert conn.execute("DELETE FROM big WHERE k = 7") == 4
+        assert 7 not in self.keys(conn)
+        conn.commit()
+        assert 7 not in self.keys(conn)
+        conn.execute("INSERT INTO big VALUES (6, 'v6b')")
+        assert conn.execute("DELETE FROM big WHERE k = 6") == 5
+        assert 6 not in self.keys(conn)
 
     def test_lost_race_retries_on_a_fresh_snapshot(self, conn):
         """An autocommit DELETE that loses first-committer-wins re-runs
