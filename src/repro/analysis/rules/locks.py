@@ -49,9 +49,7 @@ MUTATING_TERMINALS = frozenset({
     "writelines", "truncate",
 })
 
-#: Terminal call names that acquire the write side of a lock.
-_WRITE_ACQUIRE_TERMINALS = frozenset({
-    "acquire_write", "exclusive", "write"})
+#: Terminal call names that acquire the read side of a lock.
 _READ_ACQUIRE_TERMINALS = frozenset({"acquire_read", "read"})
 
 #: Attributes of an engine that *are* the shared state.

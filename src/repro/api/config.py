@@ -38,13 +38,6 @@ class SessionConfig:
         (which parses as ``"auto"``); explicit ``SELECT PROVENANCE (name)``
         and per-call overrides win over it.  Resolved through the strategy
         registry, so registered third-party strategies are valid values.
-    ``optimize``
-        Run the logical optimizer pass (selection pushdown / join
-        extraction) when planning.  The ablation benchmark disables it.
-    ``collect_stats``
-        Keep per-operator evaluation counters in
-        :class:`~repro.engine.ExecutionStats` (the cheap scalar counters
-        are always maintained).
     ``plan_cache_size``
         Capacity of the per-connection LRU plan cache; ``0`` disables
         caching entirely.
@@ -117,8 +110,6 @@ class SessionConfig:
     """
 
     default_strategy: str = "auto"
-    optimize: bool = True
-    collect_stats: bool = True
     plan_cache_size: int = 128
     engine: str = "pipelined"
     batch_size: int = 1024

@@ -61,7 +61,8 @@ from ..engine import ExecutionStats, Executor
 from ..engine.cost import CardinalityEstimator
 from ..engine.physical import PhysicalPlan, explain_physical
 from ..expressions.ast import Expr
-from ..expressions.evaluator import EvalContext, evaluate
+from ..expressions.compiler import compile_row
+from ..expressions.evaluator import EvalContext
 from ..algebra.operators import Operator
 from ..algebra.printer import explain as explain_plan
 from ..provenance import ProvenanceRewriter
@@ -364,8 +365,8 @@ class Connection:
         """Execute the query and render its physical plan annotated with
         per-node actual rows / batches / loops / inclusive time.
 
-        Runs through the plan cache (so the analyzed plan is the one a
-        normal execution would use) with stats collection forced on.
+        Runs through the plan cache, so the analyzed plan is the one a
+        normal execution would use.
         Under ``engine="vectorized"`` every node is tagged with its
         batch format and a summary line counts vector-kernel vs
         row-fallback nodes.
@@ -378,9 +379,7 @@ class Connection:
         instance = cached.acquire_physical(
             lambda: self._lower(cached.plan, catalog))
         try:
-            executor = Executor(
-                catalog, optimize=False,
-                config=self.config.with_options(collect_stats=True))
+            executor = Executor(catalog, optimize=False, config=self.config)
             relation = executor.execute_physical(
                 instance, check_arity(cached.param_count, params))
             stats = self._finish_stats(executor)
@@ -524,7 +523,7 @@ class Connection:
                                           estimator)
             result = rewriter.rewrite_query(plan)
             plan, accesses = result.plan, result.accesses
-        if optimized and self.config.optimize:
+        if optimized:
             from ..engine.optimizer import optimize
             plan = optimize(plan, catalog, estimator)
         return plan, accesses, strategy
@@ -550,11 +549,10 @@ class Connection:
         # the cost model's answers (and CREATE/DROP INDEX bumps the DDL
         # counter), so no stale cost-based plan is ever served.  The
         # session planning knobs are too — the cache is engine-wide now,
-        # and sessions with different engines/optimizer settings must not
+        # and sessions with different engines/planner settings must not
         # trade plans.
         return (sql, override, self.config.default_strategy,
-                self.config.engine, self.config.optimize,
-                self.config.use_indexes,
+                self.config.engine, self.config.use_indexes,
                 self.config.max_parallel_workers,
                 self.config.parallel_threshold,
                 catalog.version, catalog.stats_version)
@@ -850,7 +848,7 @@ def connect(config: SessionConfig | None = None,
 
 def _constant(expr: Expr, params: tuple = ()) -> Any:
     """Evaluate a constant expression (INSERT VALUES; ? params allowed)."""
-    return evaluate(expr, EvalContext((), None, params))
+    return compile_row(expr, {})[0]((), EvalContext((), None, params))
 
 
 def _parse_select(text: str, surface: str) -> SelectStmt:

@@ -1,6 +1,6 @@
 """The engine-wide LRU plan cache.
 
-Compiled plans are cached per :class:`~repro.api.engine.Engine` — shared
+Planned statements are cached per :class:`~repro.api.engine.Engine` — shared
 by every session on it — keyed by ``(sql text, strategy, session knobs,
 catalog version, statistics version)``; see
 :meth:`repro.api.Connection._plan_key`.  Because the catalog's DDL

@@ -57,20 +57,19 @@ class Executor:
     instance per statement.
 
     *config* is a :class:`repro.api.SessionConfig` (stock defaults when
-    omitted); an explicit *optimize* overrides its ``optimize`` knob for
-    :meth:`execute`, which always plans serially — parallel plans come
-    from the session's lowering.
+    omitted); *optimize* says whether :meth:`execute` runs the logical
+    optimizer first.  :meth:`execute` always plans serially — parallel
+    plans come from the session's lowering.
     """
 
-    def __init__(self, catalog: Catalog, optimize: bool | None = None,
+    def __init__(self, catalog: Catalog, optimize: bool = True,
                  config: SessionConfig | None = None) -> None:
         if config is None:
             from ..api.config import SessionConfig
             config = SessionConfig()
         self.catalog = catalog
         self.config = config
-        self.optimize = config.optimize if optimize is None else optimize
-        self.collect_stats = config.collect_stats
+        self.optimize = optimize
         self.batch_size = config.batch_size
         self.vectorized = config.engine == "vectorized"
         self.stats = ExecutionStats()
@@ -100,8 +99,7 @@ class Executor:
         """Run an already-lowered plan and materialize the sink."""
         self._bind(plan, params)
         rows = self._drain(plan.root, ())
-        if self.collect_stats:
-            self._finish_timings(plan)
+        self._finish_timings(plan)
         return Relation.from_trusted_rows(plan.schema, rows)
 
     def stream_physical(self, plan: PhysicalPlan,
@@ -127,8 +125,7 @@ class Executor:
                 yield batch
         finally:
             root.close()
-            if self.collect_stats:
-                self._finish_timings(plan)
+            self._finish_timings(plan)
 
     def _bind(self, plan: PhysicalPlan, params: Iterable[Any]) -> None:
         """Per-execution setup: bind *params*, register the plan's
@@ -202,7 +199,7 @@ class Executor:
 
     def pull(self, node: PhysicalOperator) -> list | None:
         """One ``next_batch`` call on *node*, with row/batch accounting
-        and (under ``collect_stats``) wall-clock timing.
+        and wall-clock timing.
 
         Timing keeps a stack of in-flight pulls: a node's elapsed time
         accumulates inclusively on its own entry and is also charged to
@@ -210,27 +207,21 @@ class Executor:
         inclusive total *and* the part attributable to nodes it pulled —
         ``EXPLAIN ANALYZE`` derives self time from the difference."""
         stats = self.stats
-        if self.collect_stats:
-            entry = stats.node(node)
-            stack = self._pull_stack
-            stack.append(entry)
-            started = perf_counter_ns()
-            try:
-                batch = node.next_batch()
-            finally:
-                elapsed = perf_counter_ns() - started
-                stack.pop()
-                entry.time_ns += elapsed
-                if stack:
-                    stack[-1].child_ns += elapsed
-            if batch:
-                entry.rows += len(batch)
-                entry.batches += 1
-                stats.rows_produced += len(batch)
-                stats.batches_produced += 1
-            return batch
-        batch = node.next_batch()
+        entry = stats.node(node)
+        stack = self._pull_stack
+        stack.append(entry)
+        started = perf_counter_ns()
+        try:
+            batch = node.next_batch()
+        finally:
+            elapsed = perf_counter_ns() - started
+            stack.pop()
+            entry.time_ns += elapsed
+            if stack:
+                stack[-1].child_ns += elapsed
         if batch:
+            entry.rows += len(batch)
+            entry.batches += 1
             stats.rows_produced += len(batch)
             stats.batches_produced += 1
         return batch

@@ -34,9 +34,9 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from ..datatypes import is_true
 from ..expressions.ast import Expr, Sublink
 from ..expressions.compiler import (
-    BatchFilter, BatchProjector, BatchValues, Compiled, RowCompiled,
+    BatchFilter, BatchProjector, BatchValues, RowCompiled,
     compile_batch_predicate, compile_batch_projector, compile_batch_values,
-    compile_expr, compile_row,
+    compile_row,
 )
 from ..expressions.evaluator import EvalContext, Frame
 from ..expressions.aggregates import make_accumulator
@@ -123,9 +123,8 @@ class PhysicalOperator:
              frames: tuple) -> None:
         self.engine = engine
         self.frames = frames
-        if engine.collect_stats:
-            engine.stats.bump(self)
-            engine.stats.node(self).loops += 1
+        engine.stats.bump(self)
+        engine.stats.node(self).loops += 1
         self._reset()
         for child in self.children():
             child.open(engine, frames)
@@ -248,15 +247,16 @@ class IndexScan(PhysicalOperator):
         self.op = op
         self.key_expr = key_expr
         self.index_kind = index_kind
-        self._key_fn: Compiled | None = None
+        self._key_fn: RowCompiled | None = None
         self._rows: list[tuple] = []
         self._pos = 0
 
     def _key_value(self) -> Any:
+        # no row of its own: every column the key names is an outer one
         if self._key_fn is None:
-            self._key_fn = compile_expr(self.key_expr)
+            self._key_fn = compile_row(self.key_expr, {})[0]
         return self._key_fn(
-            EvalContext(self.frames, self.engine, self.engine.params))
+            (), EvalContext(self.frames, self.engine, self.engine.params))
 
     def _reset(self) -> None:
         self._pos = 0

@@ -52,8 +52,7 @@ class ExecutionStats:
     session layer (:class:`repro.api.Connection`), which owns the plan
     cache; they report the cache's cumulative totals as of this execution.
 
-    ``node_stats`` maps ``id(physical node)`` to :class:`NodeStats` and is
-    only populated by the pipelined engine when ``collect_stats`` is on;
+    ``node_stats`` maps ``id(physical node)`` to :class:`NodeStats`;
     ``operator_timings`` aggregates per-node *self* times (inclusive time
     minus time spent in direct children) by operator class name, in
     milliseconds — summing the map approximates total execution time

@@ -1,29 +1,24 @@
 """Expression compiler: AST -> Python closures.
 
-The tree-walking evaluator re-dispatches on node types for every row; the
-compiler performs that dispatch once, producing a closure over an
-:class:`~repro.expressions.evaluator.EvalContext`.  Column positions are
-*not* baked in (frames carry their own name index), so one compiled
-expression works under any schema that provides the referenced names —
-which is exactly what the provenance rewrites rely on.
+The tree-walking evaluator (:func:`repro.expressions.evaluator.evaluate`)
+re-dispatches on node types for every row; it stays as the reference
+definition of expression semantics (the provenance oracles and the
+tests interpret with it).  The engine compiles instead, performing that
+dispatch once.  Semantics are identical — the property test in
+``tests/test_compiler.py`` checks the two against each other on random
+expressions.
 
-This is the engine's counterpart of PostgreSQL's expression JIT; the
-ablation benchmark (``benchmarks/bench_ablation.py``) measures its
-effect.  Semantics are identical to :func:`repro.expressions.evaluator.
-evaluate` — the property test in ``tests/test_compiler.py`` checks them
-against each other on random expressions.
+One scalar compiler and the kernels derived from it:
 
-Two compilation surfaces:
-
-* :func:`compile_expr` — per-row closure over an :class:`EvalContext`
-  (the reference compiler the row compiler falls back to for stateful
-  or rare shapes: sublinks, outer columns, CASE, LIKE, casts, calls).
+* :func:`compile_row` — every node kind compiles to a ``(row, ctx) ->
+  value`` function against the name->position index of the operator's
+  input schema.  Level-0 columns become positional reads; outer columns,
+  ``?`` parameters and sublinks read the
+  :class:`~repro.expressions.evaluator.EvalContext`.
 * the **batch compilers** (:func:`compile_batch_predicate`,
   :func:`compile_batch_projector`, :func:`compile_batch_values`) — used by
-  the pipelined engine: one call evaluates a whole row batch.  When the
-  expression is *context-free* (level-0 columns, constants, parameters-
-  free scalar structure), column positions are resolved against the
-  operator's input schema once at compile time and no
+  the pipelined engine: one call evaluates a whole row batch through
+  :func:`compile_row`.  When no compiled node reads the context, no
   :class:`EvalContext`/:class:`Frame` objects are allocated at all;
   otherwise a single mutable frame is reused across the batch instead of
   allocating one per row.
@@ -57,171 +52,8 @@ from .evaluator import (
 )
 from .functions import SCALAR_FUNCTIONS
 
-Compiled = Callable[[EvalContext], Any]
-
-
-def compile_expr(expr: Expr,
-                 memo: dict[int, Compiled] | None = None) -> Compiled:
-    """Compile *expr* into a function of an :class:`EvalContext`.
-
-    A cached plan keeps hundreds of these alive and the collector walks
-    them all, so they are kept small: what a function needs is bound as
-    a default argument, not closed over (a cell per variable, each
-    gc-tracked), and *memo* (node identity -> function, for one
-    compilation) makes a subtree used several times — the tested value
-    of an ``IN`` list — one function.
-
-    Per-row functions (``(ctx)`` here, ``(row, ctx)`` in
-    :func:`compile_row`) bind positionally: a keyword-only default is a
-    dict lookup per binding per call, 4-5 % of ``tpch_sublink`` and
-    ``synth_sublink``.  Callers hold them as :data:`Compiled` /
-    :data:`RowCompiled`, which admit no extra argument.  The per-batch
-    functions operators call bind keyword-only.
-    """
-    if memo is None:
-        memo = {}
-    fn = memo.get(id(expr))
-    if fn is None:
-        fn = memo[id(expr)] = _compile_expr(expr, memo)
-    return fn
-
-
-def _compile_expr(expr: Expr, memo: dict[int, Compiled]) -> Compiled:
-    if isinstance(expr, Const):
-        return lambda ctx, value=expr.value: value
-
-    if isinstance(expr, Param):
-        return lambda ctx, index=expr.index: ctx.param(index)
-
-    if isinstance(expr, Col):
-        if expr.level == 0:
-            def read_current(ctx: EvalContext, name=expr.name) -> Any:
-                frame = ctx.frames[-1]
-                return frame.row[frame.index[name]]
-            return read_current
-
-        def read_outer(ctx: EvalContext, name=expr.name,
-                       level=expr.level) -> Any:
-            return ctx.lookup(name, level)
-        return read_outer
-
-    if isinstance(expr, Comparison):
-        return lambda ctx, op=expr.op, \
-            left=compile_expr(expr.left, memo), \
-            right=compile_expr(expr.right, memo): \
-            compare(op, left(ctx), right(ctx))
-
-    if isinstance(expr, NullSafeEq):
-        return lambda ctx, left=compile_expr(expr.left, memo), \
-            right=compile_expr(expr.right, memo): \
-            null_safe_equal(left(ctx), right(ctx))
-
-    if isinstance(expr, BoolOp):
-        items = tuple([compile_expr(item, memo) for item in expr.items])
-        if expr.op == "and":
-            def conjunction(ctx: EvalContext, items=items) -> Any:
-                result: Any = True
-                for item in items:
-                    value = item(ctx)
-                    if value is False:
-                        return False
-                    if value is None:
-                        result = None
-                return result
-            return conjunction
-
-        def disjunction(ctx: EvalContext, items=items) -> Any:
-            result: Any = False
-            for item in items:
-                value = item(ctx)
-                if value is True:
-                    return True
-                if value is None:
-                    result = None
-            return result
-        return disjunction
-
-    if isinstance(expr, Not):
-        return lambda ctx, operand=compile_expr(expr.operand, memo): \
-            tv_not(operand(ctx))
-
-    if isinstance(expr, IsNull):
-        return lambda ctx, operand=compile_expr(expr.operand, memo): \
-            operand(ctx) is None
-
-    if isinstance(expr, Arith):
-        return lambda ctx, op=expr.op, \
-            left=compile_expr(expr.left, memo), \
-            right=compile_expr(expr.right, memo): \
-            arithmetic(op, left(ctx), right(ctx))
-
-    if isinstance(expr, Neg):
-        return lambda ctx, operand=compile_expr(expr.operand, memo): \
-            negate(operand(ctx))
-
-    if isinstance(expr, FuncCall):
-        try:
-            fn = SCALAR_FUNCTIONS[expr.name.lower()]
-        except KeyError:
-            raise ExpressionError(
-                f"unknown function {expr.name!r}") from None
-        args = tuple([compile_expr(arg, memo) for arg in expr.args])
-
-        def call(ctx: EvalContext, fn=fn, args=args,
-                 name=expr.name) -> Any:
-            try:
-                return fn(*[arg(ctx) for arg in args])
-            except ExpressionError:
-                raise
-            except Exception as exc:
-                raise ExpressionError(
-                    f"error in {name}: {exc}") from exc
-        return call
-
-    if isinstance(expr, Like):
-        def like(ctx: EvalContext,
-                 operand=compile_expr(expr.operand, memo),
-                 pattern=compile_expr(expr.pattern, memo)) -> Any:
-            value = operand(ctx)
-            text = pattern(ctx)
-            if value is None or text is None:
-                return None
-            return _like_regex(text).fullmatch(value) is not None
-        return like
-
-    if isinstance(expr, Cast):
-        return lambda ctx, operand=compile_expr(expr.operand, memo), \
-            type_name=expr.type_name: _cast(operand(ctx), type_name)
-
-    if isinstance(expr, Case):
-        whens = tuple([(compile_expr(cond, memo), compile_expr(value, memo))
-                       for cond, value in expr.whens])
-
-        def case(ctx: EvalContext, whens=whens,
-                 default=compile_expr(expr.default, memo)) -> Any:
-            for condition, value in whens:
-                if is_true(condition(ctx)):
-                    return value(ctx)
-            return default(ctx)
-        return case
-
-    if isinstance(expr, Sublink):
-        return lambda ctx, node=expr: _eval_sublink(node, ctx)
-
-    if isinstance(expr, AggCall):
-        raise ExpressionError(
-            "aggregate call compiled outside an Aggregate operator")
-
-    raise ExpressionError(f"cannot compile expression node {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Batch compilation (the pipelined engine's vectorized path)
-# ---------------------------------------------------------------------------
-
-#: A row-specialized evaluator: positions resolved at compile time where
-#: possible.  The second element reports whether the closure reads the
-#: EvalContext (outer frames, parameters, sublinks, name-indexed lookups).
+#: A compiled scalar: ``(row, ctx) -> value``.  *ctx* may be None when
+#: :func:`compile_row` reported that the function never reads it.
 RowCompiled = Callable[[tuple, "EvalContext | None"], Any]
 
 #: Comparison dispatch hoisted to compile time (vs the string-op chain
@@ -242,25 +74,35 @@ BatchValues = Callable[..., list]
 
 #: ``(fn, needs_ctx, is_const)`` per compiled node.
 _RowResult = tuple[RowCompiled, bool, bool]
-#: One row compilation: the input's name index, then the identity memos
-#: of the row and of the scalar compiler (see :func:`compile_expr`).
-_RowEnv = tuple[dict[str, int], dict[int, _RowResult], dict[int, Compiled]]
+#: One row compilation: the input's name index, then the identity memo.
+_RowEnv = tuple[dict[str, int], dict[int, _RowResult]]
 
 
 def compile_row(expr: Expr,
                 index: dict[str, int]) -> tuple[RowCompiled, bool]:
     """Compile *expr* into a ``(row, ctx) -> value`` function against the
-    name->position *index* of the operator's input schema.
+    name->position *index* of the operator's input schema; the flag says
+    whether the function reads *ctx*.
 
-    Level-0 column references become direct positional reads, pure
+    Level-0 columns in *index* become positional reads; any other column
+    (outer levels, and names the index lacks) reads ``ctx.lookup``, which
+    raises :class:`ExpressionError` for a name no frame has.  Pure
     constant subtrees (e.g. the ``Neg(Const)`` of a negative literal)
-    fold at compile time, and comparison dispatch is hoisted out of the
-    per-row path.  Subtrees that need evaluation state (outer references,
-    parameters, sublinks, unknown names) fall back to
-    :func:`compile_expr` over the mutable frame the batch wrappers
-    maintain — semantics stay identical.
+    fold at compile time — function calls never do, since registered
+    functions may be non-deterministic — and comparison dispatch is
+    hoisted out of the per-row path.
+
+    A cached plan keeps hundreds of these functions alive and the
+    collector walks them all, so they are kept small: what a function
+    needs is bound as a positional default argument, not closed over (a
+    cell per variable, each gc-tracked; a keyword-only default is a dict
+    lookup per binding per call, 4-5 % of ``tpch_sublink``), and an
+    identity memo makes a subtree used several times — the tested value
+    of an ``IN`` list — one function.  Callers hold them as
+    :data:`RowCompiled`, which admits no extra argument.  The per-batch
+    functions operators call bind keyword-only.
     """
-    fn, needs_ctx, _ = _compile_row(expr, (index, {}, {}))
+    fn, needs_ctx, _ = _compile_row(expr, (index, {}))
     return fn, needs_ctx
 
 
@@ -272,6 +114,16 @@ def _fold(fn: RowCompiled) -> RowCompiled:
     except Exception:
         return fn
     return lambda row, ctx, value=value: value
+
+
+def _node(fn: RowCompiled, children: Sequence[_RowResult],
+          foldable: bool = True) -> _RowResult:
+    """The result for *fn* over its compiled *children*: it reads the
+    context iff a child does, and folds iff every child is constant."""
+    needs_ctx = any([child[1] for child in children])
+    if foldable and all([child[2] for child in children]):
+        return _fold(fn), needs_ctx, True
+    return fn, needs_ctx, False
 
 
 def _compile_row(expr: Expr, env: _RowEnv) -> _RowResult:
@@ -287,15 +139,22 @@ def _compile_row_node(expr: Expr, env: _RowEnv) -> _RowResult:
     if isinstance(expr, Const):
         return (lambda row, ctx, value=expr.value: value), False, True
 
-    if isinstance(expr, Col) and expr.level == 0 and expr.name in index:
-        return (lambda row, ctx, position=index[expr.name]:
-                row[position]), False, False
+    if isinstance(expr, Param):
+        return (lambda row, ctx, position=expr.index:
+                ctx.param(position)), True, False
+
+    if isinstance(expr, Col):
+        if expr.level == 0 and expr.name in index:
+            return (lambda row, ctx, position=index[expr.name]:
+                    row[position]), False, False
+        return (lambda row, ctx, name=expr.name, level=expr.level:
+                ctx.lookup(name, level)), True, False
 
     if isinstance(expr, Comparison):
-        left, left_ctx, left_const = _compile_row(expr.left, env)
-        right, right_ctx, right_const = _compile_row(expr.right, env)
+        left = _compile_row(expr.left, env)
+        right = _compile_row(expr.right, env)
 
-        def comparison(row: tuple, ctx: Any, left=left, right=right,
+        def comparison(row: tuple, ctx: Any, left=left[0], right=right[0],
                        apply=_COMPARE_OPS[expr.op], op=expr.op) -> Any:
             a = left(row, ctx)
             b = right(row, ctx)
@@ -306,26 +165,18 @@ def _compile_row_node(expr: Expr, env: _RowEnv) -> _RowResult:
                     f"cannot compare {type(a).__name__} with "
                     f"{type(b).__name__} ({a!r} {op} {b!r})")
             return apply(a, b)
-        needs_ctx = left_ctx or right_ctx
-        is_const = left_const and right_const
-        if is_const:
-            return _fold(comparison), needs_ctx, True
-        return comparison, needs_ctx, False
+        return _node(comparison, (left, right))
 
     if isinstance(expr, NullSafeEq):
-        left, left_ctx, left_const = _compile_row(expr.left, env)
-        right, right_ctx, right_const = _compile_row(expr.right, env)
-        fn = lambda row, ctx, left=left, right=right: \
-            null_safe_equal(left(row, ctx), right(row, ctx))  # noqa: E731
-        if left_const and right_const:
-            return _fold(fn), left_ctx or right_ctx, True
-        return fn, left_ctx or right_ctx, False
+        left = _compile_row(expr.left, env)
+        right = _compile_row(expr.right, env)
+        return _node(lambda row, ctx, left=left[0], right=right[0]:
+                     null_safe_equal(left(row, ctx), right(row, ctx)),
+                     (left, right))
 
     if isinstance(expr, BoolOp):
         compiled = [_compile_row(item, env) for item in expr.items]
         items = tuple([fn for fn, _, _ in compiled])
-        needs_ctx = any(flag for _, flag, _ in compiled)
-        is_const = all(flag for _, _, flag in compiled)
         if expr.op == "and":
             def conjunction(row: tuple, ctx: Any, items=items) -> Any:
                 result: Any = True
@@ -336,51 +187,105 @@ def _compile_row_node(expr: Expr, env: _RowEnv) -> _RowResult:
                     if value is None:
                         result = None
                 return result
-            combined = conjunction
-        else:
-            def disjunction(row: tuple, ctx: Any, items=items) -> Any:
-                result: Any = False
-                for item in items:
-                    value = item(row, ctx)
-                    if value is True:
-                        return True
-                    if value is None:
-                        result = None
-                return result
-            combined = disjunction
-        if is_const:
-            return _fold(combined), needs_ctx, True
-        return combined, needs_ctx, False
+            return _node(conjunction, compiled)
 
-    if isinstance(expr, (Not, IsNull, Neg)):
-        operand, needs_ctx, is_const = _compile_row(expr.operand, env)
+        def disjunction(row: tuple, ctx: Any, items=items) -> Any:
+            result: Any = False
+            for item in items:
+                value = item(row, ctx)
+                if value is True:
+                    return True
+                if value is None:
+                    result = None
+            return result
+        return _node(disjunction, compiled)
+
+    if isinstance(expr, (Not, IsNull, Neg, Cast)):
+        child = _compile_row(expr.operand, env)
+        operand = child[0]
         if isinstance(expr, Not):
             fn = lambda row, ctx, operand=operand: \
                 tv_not(operand(row, ctx))  # noqa: E731
         elif isinstance(expr, IsNull):
             fn = lambda row, ctx, operand=operand: \
                 operand(row, ctx) is None  # noqa: E731
-        else:
+        elif isinstance(expr, Neg):
             fn = lambda row, ctx, operand=operand: \
                 negate(operand(row, ctx))  # noqa: E731
-        if is_const:
-            return _fold(fn), needs_ctx, True
-        return fn, needs_ctx, False
+        else:
+            fn = lambda row, ctx, operand=operand, \
+                type_name=expr.type_name: \
+                _cast(operand(row, ctx), type_name)  # noqa: E731
+        return _node(fn, (child,))
 
     if isinstance(expr, Arith):
-        left, left_ctx, left_const = _compile_row(expr.left, env)
-        right, right_ctx, right_const = _compile_row(expr.right, env)
-        fn = lambda row, ctx, op=expr.op, left=left, right=right: \
-            arithmetic(op, left(row, ctx), right(row, ctx))  # noqa: E731
-        if left_const and right_const:
-            return _fold(fn), left_ctx or right_ctx, True
-        return fn, left_ctx or right_ctx, False
+        left = _compile_row(expr.left, env)
+        right = _compile_row(expr.right, env)
+        return _node(lambda row, ctx, op=expr.op, left=left[0],
+                     right=right[0]:
+                     arithmetic(op, left(row, ctx), right(row, ctx)),
+                     (left, right))
 
-    # Everything stateful or rare (sublinks, outer/unknown columns,
-    # parameters, CASE, LIKE, casts, function calls) goes through the
-    # reference compiler against the mutable batch frame.
-    return (lambda row, ctx, scalar=compile_expr(expr, env[2]):
-            scalar(ctx)), True, False
+    if isinstance(expr, Like):
+        operand = _compile_row(expr.operand, env)
+        pattern = _compile_row(expr.pattern, env)
+
+        def like(row: tuple, ctx: Any, operand=operand[0],
+                 pattern=pattern[0]) -> Any:
+            value = operand(row, ctx)
+            text = pattern(row, ctx)
+            if value is None or text is None:
+                return None
+            return _like_regex(text).fullmatch(value) is not None
+        return _node(like, (operand, pattern))
+
+    if isinstance(expr, Case):
+        # children(): condition, value, ..., default
+        compiled = [_compile_row(child, env) for child in expr.children()]
+        fns = [fn for fn, _, _ in compiled]
+
+        def case(row: tuple, ctx: Any,
+                 whens=tuple(zip(fns[0:-1:2], fns[1:-1:2])),
+                 default=fns[-1]) -> Any:
+            for condition, value in whens:
+                if is_true(condition(row, ctx)):
+                    return value(row, ctx)
+            return default(row, ctx)
+        return _node(case, compiled)
+
+    if isinstance(expr, FuncCall):
+        try:
+            function = SCALAR_FUNCTIONS[expr.name.lower()]
+        except KeyError:
+            raise ExpressionError(
+                f"unknown function {expr.name!r}") from None
+        compiled = [_compile_row(arg, env) for arg in expr.args]
+
+        def call(row: tuple, ctx: Any, function=function,
+                 args=tuple([fn for fn, _, _ in compiled]),
+                 name=expr.name) -> Any:
+            # outside the try: an argument's error is not the function's
+            values = [arg(row, ctx) for arg in args]
+            try:
+                return function(*values)
+            except ExpressionError:
+                raise
+            except Exception as exc:
+                raise ExpressionError(
+                    f"error in {name}: {exc}") from exc
+        return _node(call, compiled, foldable=False)
+
+    if isinstance(expr, Sublink):
+        test = None if expr.test is None \
+            else _compile_row(expr.test, env)[0]
+        return (lambda row, ctx, node=expr, test=test:
+                _eval_sublink(node, ctx, test, row)), True, False
+
+    if isinstance(expr, AggCall):
+        raise ExpressionError(
+            "aggregate call compiled outside an Aggregate operator")
+
+    raise ExpressionError(f"cannot compile expression node {expr!r}")
 
 
 def _make_state(index: dict[str, int], frames, runner, params):

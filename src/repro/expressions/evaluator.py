@@ -133,7 +133,12 @@ def _cast(value: Any, type_name: str) -> Any:
     return value
 
 
-def _eval_sublink(node: Sublink, ctx: EvalContext) -> Any:
+def _eval_sublink(node: Sublink, ctx: EvalContext,
+                  test: Callable[[Any, EvalContext], Any] | None,
+                  row: Any = None) -> Any:
+    """Run *node*'s query through the context's runner and apply its
+    kind; an ANY/ALL test value is ``test(row, ctx)`` — the compiled
+    test from the row compiler, or the interpreter's."""
     if ctx.runner is None:
         raise ExecutionError(
             "sublink evaluated without an execution engine attached")
@@ -147,13 +152,13 @@ def _eval_sublink(node: Sublink, ctx: EvalContext) -> Any:
             raise ExecutionError(
                 f"scalar sublink returned {len(rows)} rows (expected <= 1)")
         return rows[0][0]
-    test_value = evaluate(node.test, ctx)
+    test_value = test(row, ctx)
     if node.kind == SublinkKind.ANY:
         return tv_any(
-            compare(node.op, test_value, row[0]) for row in rows)
+            compare(node.op, test_value, found[0]) for found in rows)
     if node.kind == SublinkKind.ALL:
         return tv_all(
-            compare(node.op, test_value, row[0]) for row in rows)
+            compare(node.op, test_value, found[0]) for found in rows)
     raise ExpressionError(f"unknown sublink kind {node.kind}")
 
 
@@ -211,7 +216,8 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Any:
                 return evaluate(value, ctx)
         return evaluate(expr.default, ctx)
     if isinstance(expr, Sublink):
-        return _eval_sublink(expr, ctx)
+        return _eval_sublink(
+            expr, ctx, lambda row, ctx: evaluate(expr.test, ctx))
     if isinstance(expr, AggCall):
         raise ExpressionError(
             "aggregate call evaluated outside an Aggregate operator")

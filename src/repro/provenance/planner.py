@@ -40,11 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..catalog import Catalog
     from ..engine.cost import CardinalityEstimator
 
-#: Names of the built-in strategies plus the automatic mode (static view;
-#: use :func:`repro.provenance.strategies.strategy_names` for the live set).
-STRATEGY_NAMES = ("auto", "gen", "left", "move", "unn")
-
-
 class StrategyPlanner:
     """Maps sublink-bearing operators to rewrite strategies."""
 

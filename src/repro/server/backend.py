@@ -52,7 +52,7 @@ from ..sql.ast import (
     CreateTableStmt, CreateViewStmt, DeleteStmt, DropStmt, InsertStmt,
     RollbackStmt, SelectStmt, Statement,
 )
-from ..sql.parser import parse_statement, parse_statements
+from ..sql.parser import parse_statements
 from . import protocol
 
 #: Rows pulled from a result per fetch while streaming it out.
@@ -546,11 +546,6 @@ class BackendSession:
         portal = self.portals.pop("", None)
         if portal is not None:
             portal.close()
-
-
-def parse_single(sql: str) -> Statement:
-    """Parse exactly one statement (used by tests and tools)."""
-    return parse_statement(sql)
 
 
 __all__ = [

@@ -92,19 +92,6 @@ _INT_OIDS = frozenset((20, 21, 23, 26))
 _FLOAT_OIDS = frozenset((700, 701, 1700))
 
 
-def oid_for_value(value) -> int:
-    """The parameter type OID the client declares for a Python value."""
-    if value is None:
-        return 0                     # unspecified; the server infers
-    if isinstance(value, bool):
-        return OID_BOOL
-    if isinstance(value, int):
-        return OID_INT8
-    if isinstance(value, float):
-        return OID_FLOAT8
-    return OID_TEXT
-
-
 #: PostgreSQL's text spelling of the non-finite floats; Python's own
 #: (``inf`` / ``nan``) is rejected by other drivers.
 _NONFINITE = {"inf": b"Infinity", "-inf": b"-Infinity", "nan": b"NaN"}

@@ -201,9 +201,9 @@ class Analyzer:
                 if name in labels:
                     keys.append(SortKey(Col(name), item.ascending))
                     continue
+            # no repr of *expr*: an unanalyzed sublink cannot print itself
             raise AnalyzerError(
-                "ORDER BY keys must be output column labels or ordinals "
-                f"(got {expr!r})")
+                "ORDER BY keys must be output column labels or ordinals")
         return keys
 
     def _analyze_delete(self, stmt: DeleteStmt) -> Operator:

@@ -334,12 +334,6 @@ def _encode_column(out: bytearray, values: list[Any]) -> None:
 _KIND_NAMES = {_COL_INT64: "num", _COL_FLOAT64: "num", _COL_TEXT: "text"}
 
 
-def _decode_column(buf: bytes, pos: int,
-                   n_rows: int) -> tuple[list[Any], int]:
-    values, _, _, pos = _decode_column_full(buf, pos, n_rows)
-    return values, pos
-
-
 def _decode_column_full(
         buf: bytes, pos: int,
         n_rows: int) -> tuple[list[Any], str, bool, int]:

@@ -71,8 +71,7 @@ class OracleSession:
             params: Sequence[Any] = ()) -> Relation:
         plan = self._planner.plan(text, strategy)
         catalog = self._planner.engine.snapshot()
-        if self._planner.config.optimize:
-            plan = optimize(plan, catalog)
+        plan = optimize(plan, catalog)
         engine = OracleEngine(catalog)
         self.last_stats = engine.stats
         return engine.execute(plan, params)

@@ -208,8 +208,8 @@ class TestConnectionHelpers:
 
     def test_with_options_copy(self):
         config = SessionConfig()
-        changed = config.with_options(optimize=False)
-        assert changed.optimize is False and config.optimize is True
+        changed = config.with_options(use_indexes=False)
+        assert changed.use_indexes is False and config.use_indexes is True
 
     def test_default_strategy_applies_to_bare_provenance(self):
         connection = connect(default_strategy="unn")
@@ -228,16 +228,6 @@ class TestConnectionHelpers:
         conn.execute("SELECT * FROM r")
         assert conn.last_stats is not None
         assert conn.last_stats.rows_produced >= 3
-
-    def test_collect_stats_toggle(self):
-        connection = connect(collect_stats=False)
-        cur = connection.cursor()
-        cur.execute("CREATE TABLE t (x int)")
-        cur.execute("INSERT INTO t VALUES (1)")
-        cur.execute("SELECT x FROM t")
-        assert connection.last_stats.operator_evals == {}
-        # the cheap scalar counters are still maintained
-        assert connection.last_stats.rows_produced >= 1
 
     def test_config_default_strategy_honored_by_rewriter(self):
         # Rewriters built directly (not through a Connection) also treat

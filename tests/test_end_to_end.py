@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AnalyzerError, connect
+from repro import AnalyzerError, ExecutionError, connect
 
 
 class TestDDLDML:
@@ -12,11 +12,24 @@ class TestDDLDML:
         db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
         assert db.sql("SELECT name FROM t WHERE x = 2").rows == [("two",)]
 
-    def test_insert_expressions(self):
+    @pytest.mark.parametrize("values,params,expected", [
+        ("(1 + 2), (-4)", (), [(-4,), (3,)]),
+        ("(? * 2 + 1), (?)", (3, -4), [(-4,), (7,)]),
+        ("(CASE WHEN ? > 2 THEN 0 ELSE 5 END)", (1,), [(5,)]),
+        # a sublink has no engine to run on: a clean error, no row
+        ("((SELECT 1))", (), None),
+    ])
+    def test_insert_expressions(self, values, params, expected):
         db = connect()
         db.execute("CREATE TABLE t (x int)")
-        db.execute("INSERT INTO t VALUES (1 + 2), (-4)")
-        assert sorted(db.sql("SELECT x FROM t").rows) == [(-4,), (3,)]
+        statement = f"INSERT INTO t VALUES {values}"
+        if expected is None:
+            with pytest.raises(ExecutionError, match="execution engine"):
+                db.execute(statement, params)
+            expected = []
+        else:
+            db.execute(statement, params)
+        assert sorted(db.sql("SELECT x FROM t").rows) == expected
 
     def test_delete_with_predicate(self):
         db = connect()

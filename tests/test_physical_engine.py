@@ -74,6 +74,9 @@ ORDERED_QUERIES = [
     "SELECT a, b FROM r ORDER BY a + b DESC, a",
     "SELECT a, (SELECT c FROM s ORDER BY (c - a) * (c - a), c DESC LIMIT 1) "
     "AS nearest FROM r ORDER BY a",
+    # sublink sort keys, uncorrelated and correlated
+    "SELECT a FROM r ORDER BY (SELECT max(c) FROM s), a",
+    "SELECT a FROM r ORDER BY (SELECT min(c) FROM s WHERE c > r.b) DESC, a",
 ]
 
 #: Ordered queries with ``?`` in a sort key, as ``(sql, params)``.
