@@ -464,7 +464,7 @@ class Project:
                                             parent=None)
                 info.methods[stmt.name] = method
             elif isinstance(stmt, ast.ClassDef):
-                # one level of class nesting (RWLock._Guard)
+                # one level of class nesting (Outer._Inner)
                 self._add_class(module, _prefixed(stmt, node.name))
 
     def _add_function(self, module: ModuleInfo,
@@ -644,8 +644,8 @@ class Project:
 
 
 def _prefixed(node: ast.ClassDef, prefix: str) -> ast.ClassDef:
-    """A shallow rename for nested classes: ``_Guard`` inside ``RWLock``
-    registers as ``RWLock._Guard``."""
+    """A shallow rename for nested classes: ``_Inner`` inside ``Outer``
+    registers as ``Outer._Inner``."""
     import copy
     clone = copy.copy(node)
     clone.name = f"{prefix}.{node.name}"

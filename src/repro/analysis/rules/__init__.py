@@ -59,15 +59,13 @@ class AnalysisConfig:
         "Catalog", "PlanCache", "DurableStore")
     #: entry points of code that runs on the forked worker side
     worker_entries: tuple[str, ...] = ("_worker_main",)
-    #: commit-section functions: reachable only through a holder of the
-    #: per-name commit locks (the table lock manager)
+    #: commit-section functions: reachable only through the commit
+    #: leader
     commit_section_functions: tuple[str, ...] = (
         "validate_commit", "publish_commit")
-    #: attribute name of the engine's per-name commit lock manager
-    table_lock_attr: str = "table_locks"
-    #: entry points of the group-commit WAL flusher thread (must never
-    #: touch the catalog or an engine lock: committers block on it)
-    flusher_entries: tuple[str, ...] = ("_flush_loop",)
+    #: the engine's commit leader: the one function that validates,
+    #: logs and publishes a batch of commits
+    commit_leader_functions: tuple[str, ...] = ("_commit_batch",)
     #: factories whose nested closures are vector kernels
     kernel_factory_prefixes: tuple[str, ...] = ("compile_vector_",)
     #: base class of vectorized operators (methods must stay pure-ish)

@@ -1,7 +1,7 @@
 """Lock-discipline checks (the PR-4/PR-8 invariants).
 
-``lock-discipline`` — *shared-state mutations happen under the write
-lock.*  The shared classes (``Catalog``, ``PlanCache``,
+``lock-discipline`` — *shared-state mutations happen under a lock.*
+The shared classes (``Catalog``, ``PlanCache``,
 ``DurableStore``) are scanned for **mutator methods** — methods that
 assign ``self`` state or call a mutating container method on it —
 excluding ``__init__`` and methods that take an internal lock
@@ -9,9 +9,9 @@ themselves.  Every call site whose receiver is *engine-owned shared
 state* (a path through ``engine.catalog`` / ``engine.plan_cache`` /
 ``engine.storage``, the same attributes on ``self`` inside ``Engine``,
 or a parameter annotated with a shared class) must then be
-**write-protected**: the enclosing function either acquires a
-write-side lock itself, or cannot be reached from any entry point
-without passing through a function that does.
+**lock-protected**: the enclosing function either takes
+``engine.lock`` (or ``exclusive()``) itself, or cannot be reached from
+any entry point without passing through a function that does.
 
 ``lock-fork`` — *no lock or fsync on the forked worker side.*  A lock
 acquired in the parent may be held by a thread that does not survive
@@ -20,18 +20,12 @@ that fsyncs the parent's WAL fd corrupts commit ordering.  Everything
 reachable from the worker entry points (``_worker_main``) is checked
 for lock acquisition, ``os.fork`` and ``os.fsync``.
 
-``lock-tables`` — *the commit section runs under the per-name commit
-locks* (the PR-10 invariant).  ``validate_commit`` and
-``publish_commit`` mutate or judge live-catalog entries named by a
-transaction's conflict set; a path into them that does not pass
-through a ``table_locks.acquire(...)`` holder would let two commits
-interleave on the same table.
-
-``lock-flusher`` — *the group-commit flusher owns only the WAL tail.*
-Committers block on the flusher thread while holding their commit
-locks, so anything reachable from ``_flush_loop`` that touches the
-catalog or takes an engine lock is a deadlock or a data race by
-construction.
+``lock-sequencer`` — *only the commit leader validates and
+publishes.*  ``validate_commit`` reads the live catalog without a lock
+and ``publish_commit`` changes it; both are safe only because one
+thread at a time — the engine's commit leader, ``_commit_batch`` —
+runs them.  A path into either that does not pass through the leader
+would let two commits interleave on the same names.
 """
 
 from __future__ import annotations
@@ -49,9 +43,6 @@ MUTATING_TERMINALS = frozenset({
     "writelines", "truncate",
 })
 
-#: Terminal call names that acquire the read side of a lock.
-_READ_ACQUIRE_TERMINALS = frozenset({"acquire_read", "read"})
-
 #: Attributes of an engine that *are* the shared state.
 _SHARED_ENGINE_ATTRS = ("catalog", "plan_cache", "storage")
 
@@ -60,41 +51,18 @@ def _lockish(path: str) -> bool:
     return "lock" in path.lower() or "cond" in path.lower()
 
 
-def acquires_write_lock(info: FunctionInfo) -> bool:
-    """Whether the function body takes a write-side (or plain mutual
-    exclusion) lock: ``with ...lock.write()``, ``with ...exclusive()``,
-    ``with self._lock:``, or an explicit ``acquire_write()`` call."""
+def acquires_lock(info: FunctionInfo) -> bool:
+    """Whether the function body takes a lock: ``with ...exclusive()``,
+    ``with self._lock:`` / ``with engine.lock:``, or an explicit
+    ``...lock.acquire()`` call."""
     for item in info.facts.with_items:
-        terminal = item.path.rpartition(".")[2]
         if item.is_call:
-            if terminal == "exclusive" or terminal == "acquire_write":
-                return True
-            if terminal == "write" and _lockish(item.path):
+            if item.path.rpartition(".")[2] == "exclusive":
                 return True
         elif _lockish(item.path):
             return True                  # with self._lock:
-    for call in info.facts.calls:
-        if call.terminal == "acquire_write":
-            return True
-        if call.terminal == "acquire" and _lockish(call.path):
-            return True
-    return False
-
-
-def acquires_any_lock(info: FunctionInfo) -> bool:
-    """Whether the function takes any lock side — used by the fork rule,
-    where even a read acquisition can deadlock the child."""
-    if acquires_write_lock(info):
-        return True
-    for item in info.facts.with_items:
-        terminal = item.path.rpartition(".")[2]
-        if item.is_call and terminal in _READ_ACQUIRE_TERMINALS \
-                and _lockish(item.path):
-            return True
-    for call in info.facts.calls:
-        if call.terminal == "acquire_read":
-            return True
-    return False
+    return any(call.terminal == "acquire" and _lockish(call.path)
+               for call in info.facts.calls)
 
 
 def shared_mutator_methods(ctx: RuleContext) -> dict[str, set[str]]:
@@ -112,7 +80,7 @@ def shared_mutator_methods(ctx: RuleContext) -> dict[str, set[str]]:
             for method in cls.methods.values():
                 if method.name in ("__init__", "__post_init__"):
                     continue
-                if acquires_write_lock(method):
+                if acquires_lock(method):
                     continue             # internally locked
                 mutates = bool(method.facts.self_writes)
                 if not mutates:
@@ -180,27 +148,11 @@ def _shared_receiver(info: FunctionInfo, call: CallSite, path: str,
     return False
 
 
-def acquires_table_locks(info: FunctionInfo, attr: str) -> bool:
-    """Whether the function takes the per-name commit locks:
-    ``with ...<attr>.acquire(keys):`` (or a bare ``.acquire()`` call on
-    the manager)."""
-    needle = f"{attr}."
-    for item in info.facts.with_items:
-        if item.is_call and item.path.rpartition(".")[2] == "acquire" \
-                and needle in item.path:
-            return True
-    for call in info.facts.calls:
-        if call.terminal == "acquire" and needle in call.path:
-            return True
-    return False
-
-
 @rule("lock-discipline")
 def check_lock_discipline(ctx: RuleContext) -> None:
     project, graph = ctx.project, ctx.graph
     _check_fork_side(ctx, graph)
     _check_commit_section(ctx, graph)
-    _check_flusher_side(ctx, graph)
     mutators = shared_mutator_methods(ctx)
     if not mutators:
         return
@@ -209,7 +161,7 @@ def check_lock_discipline(ctx: RuleContext) -> None:
 
     acquirers = frozenset(
         qualname for qualname, info in project.functions.items()
-        if acquires_write_lock(info))
+        if acquires_lock(info))
     entries = [e for e in graph.entry_points() if e not in acquirers]
 
     def protected(qualname: str) -> bool:
@@ -233,72 +185,32 @@ def check_lock_discipline(ctx: RuleContext) -> None:
                 "lock-discipline", info.module, call.lineno,
                 info.qualname,
                 f"mutates shared state via '{path}' but is reachable "
-                f"without the engine write lock; wrap the call path in "
-                f"'with engine.lock.write():' (or take it in a caller)")
+                f"without the engine lock; wrap the call path in "
+                f"'with engine.lock:' (or take it in a caller)")
 
 
 def _check_commit_section(ctx: RuleContext, graph: CallGraph) -> None:
-    """``lock-tables``: the validate/publish half of a commit must be
-    unreachable except through a holder of the per-name commit locks."""
+    """``lock-sequencer``: the validate/publish half of a commit must be
+    unreachable except through the commit leader."""
     project = ctx.project
-    attr = ctx.config.table_lock_attr
     targets = [info for info in project.functions.values()
                if info.name in ctx.config.commit_section_functions]
     if not targets:
         return
-    acquirers = frozenset(
+    leaders = frozenset(
         qualname for qualname, info in project.functions.items()
-        if acquires_table_locks(info, attr))
-    entries = [e for e in graph.entry_points() if e not in acquirers]
+        if info.name in ctx.config.commit_leader_functions)
+    entries = [e for e in graph.entry_points() if e not in leaders]
     for info in targets:
-        if info.qualname in acquirers:
-            continue
-        if any(graph.reaches_avoiding(entry, info.qualname, acquirers)
+        if any(graph.reaches_avoiding(entry, info.qualname, leaders)
                for entry in entries):
             ctx.emit(
-                "lock-tables", info.module, info.lineno, info.qualname,
+                "lock-sequencer", info.module, info.lineno, info.qualname,
                 f"commit-section function is reachable without the "
-                f"per-name commit locks; every path into it must pass "
-                f"through 'with engine.{attr}.acquire(diff.lock_keys):'")
-
-
-def _check_flusher_side(ctx: RuleContext, graph: CallGraph) -> None:
-    """``lock-flusher``: nothing reachable from the group-commit
-    flusher thread may touch the catalog or take an engine lock —
-    committers block on the flusher while holding their commit locks."""
-    project = ctx.project
-    flusher_roots = [
-        info.qualname for info in project.functions.values()
-        if info.name in ctx.config.flusher_entries]
-    if not flusher_roots:
-        return
-    shared = frozenset(ctx.config.shared_state_classes) - \
-        frozenset({"DurableStore"})     # the flusher lives *in* the store
-    for qualname in sorted(graph.reachable(flusher_roots)):
-        info = project.functions[qualname]
-        if _annotated_params(info, project, shared):
-            ctx.emit(
-                "lock-flusher", info.module, info.lineno, qualname,
-                "declares a Catalog/PlanCache parameter on the flusher "
-                "side; the flusher owns only the WAL tail — catalog "
-                "state belongs to committers under their commit locks")
-        for call in info.facts.calls:
-            path = _expand_alias(info, call.path)
-            receiver = path.split(".")[:-1]
-            if "catalog" in receiver:
-                ctx.emit(
-                    "lock-flusher", info.module, call.lineno, qualname,
-                    f"touches the catalog via '{path}' from the "
-                    f"group-commit flusher thread; committers block on "
-                    f"the flusher while holding their commit locks, so "
-                    f"this is a data race (or a deadlock) by "
-                    f"construction")
-            if "engine" in receiver and _lockish(path):
-                ctx.emit(
-                    "lock-flusher", info.module, call.lineno, qualname,
-                    f"takes an engine lock via '{path}' from the "
-                    f"group-commit flusher thread — a committer "
-                    f"blocked on the flusher may hold it: deadlock")
+                f"commit leader; only "
+                f"{' / '.join(ctx.config.commit_leader_functions)} "
+                f"(which validates, logs and publishes one batch at a "
+                f"time) may call it")
 
 
 def _check_fork_side(ctx: RuleContext, graph: CallGraph) -> None:
@@ -310,7 +222,7 @@ def _check_fork_side(ctx: RuleContext, graph: CallGraph) -> None:
         return
     for qualname in sorted(graph.reachable(worker_roots)):
         info = project.functions[qualname]
-        if acquires_any_lock(info):
+        if acquires_lock(info):
             ctx.emit(
                 "lock-fork", info.module, info.lineno, qualname,
                 "acquires a lock on the forked worker side; a lock held "

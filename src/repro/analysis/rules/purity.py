@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..project import FunctionInfo
 from . import RuleContext, rule
-from .locks import acquires_any_lock
+from .locks import acquires_lock
 
 #: OS-level calls a kernel has no business making.
 _OS_CALLS = frozenset({
@@ -80,7 +80,7 @@ def _check_kernels(ctx: RuleContext) -> None:
                     info.qualname,
                     f"vector kernel calls '{call.path}' — kernels must "
                     f"stay pure over their column inputs")
-        if acquires_any_lock(info):
+        if acquires_lock(info):
             ctx.emit(
                 "purity-kernel", info.module, info.lineno, info.qualname,
                 "vector kernel acquires a lock — kernels run on hot "
@@ -133,7 +133,7 @@ def _check_vector_operators(ctx: RuleContext) -> None:
         if not project.is_subclass_of(cls.qualname, base):
             continue
         for method in cls.methods.values():
-            if acquires_any_lock(method):
+            if acquires_lock(method):
                 ctx.emit(
                     "purity-operator", method.module, method.lineno,
                     method.qualname,

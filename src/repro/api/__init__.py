@@ -26,7 +26,7 @@ and every :class:`Connection` is a lightweight session on one::
 from .config import SessionConfig
 from .connection import Connection, connect
 from .cursor import Cursor
-from .engine import Engine, RWLock
+from .engine import Engine
 from .plan_cache import CachedPlan, PlanCache
 from .prepared import PreparedStatement
 from .result import Contribution, Result, Witness
@@ -34,6 +34,6 @@ from .transaction import Transaction
 
 __all__ = [
     "CachedPlan", "Connection", "Contribution", "Cursor", "Engine",
-    "PlanCache", "PreparedStatement", "Result", "RWLock", "SessionConfig",
+    "PlanCache", "PreparedStatement", "Result", "SessionConfig",
     "Transaction", "Witness", "connect",
 ]

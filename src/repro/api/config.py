@@ -77,21 +77,11 @@ class SessionConfig:
         directory opens, so ``engine.connect()`` rejects a session
         override that disagrees with it.  Ignored by purely in-memory
         engines.
-    ``group_commit_ms``
-        Group-commit linger window, in milliseconds.  Commit records
-        are always flushed by one background flusher thread that
-        batches whatever is queued when it wakes — concurrent
-        committers already share one fsync with ``0`` (the default).
-        A positive value makes the flusher *wait* that long after the
-        first record arrives so more committers can join the batch:
-        higher commit latency, fewer fsyncs under sustained load.
-        Engine-level, fixed when the store opens.
     ``checkpoint_wal_mb``
-        WAL size budget, in MiB, that triggers a *background*
-        checkpoint on a durable engine (the flusher signals a
-        dedicated thread; committers never compact the log
-        themselves).  ``0`` disables automatic checkpointing — only
-        explicit ``CHECKPOINT`` compacts.  Engine-level.
+        WAL size budget, in MiB, on a durable engine: the commit leader
+        checkpoints right after the batch that takes the log past it.
+        ``0`` disables automatic checkpointing — only explicit
+        ``CHECKPOINT`` compacts.  Engine-level.
     ``max_parallel_workers``
         Upper bound on worker processes a single query may fan out to
         through the exchange operators (:mod:`repro.engine.parallel`).
@@ -116,7 +106,6 @@ class SessionConfig:
     use_indexes: bool = True
     autocommit: bool = True
     durability: str = "commit"
-    group_commit_ms: float = 0.0
     checkpoint_wal_mb: int = 64
     max_parallel_workers: int = field(
         default_factory=lambda: _env_int("REPRO_PARALLEL", 0))
@@ -143,10 +132,6 @@ class SessionConfig:
             raise InterfaceError(
                 f"unknown durability {self.durability!r}; expected one "
                 f"of ['off', 'commit', 'checkpoint']")
-        if self.group_commit_ms < 0:
-            raise InterfaceError(
-                f"group_commit_ms must be >= 0, got "
-                f"{self.group_commit_ms}")
         if self.checkpoint_wal_mb < 0:
             raise InterfaceError(
                 f"checkpoint_wal_mb must be >= 0, got "

@@ -2,9 +2,8 @@
 
 An :class:`Engine` owns everything that is shared between concurrent
 sessions — the :class:`~repro.catalog.Catalog` (tables, views, secondary
-indexes, statistics), the lock-guarded LRU plan cache, and the
-reader-writer lock that orders readers' snapshots against writers'
-commits::
+indexes, statistics), the lock-guarded LRU plan cache, and the commit
+sequencer that orders every change to them::
 
     from repro import Engine
 
@@ -17,21 +16,19 @@ Concurrency model (snapshot isolation, copy-on-write):
 * Readers never hold a lock while executing.  Each statement (or each
   explicit transaction) captures a :meth:`snapshot` — a cheap
   dict-level copy of the catalog that pins the current ``Relation``,
-  index and statistics *objects* — under the read lock, then plans and
-  executes entirely against the pinned objects.
+  index and statistics *objects* — under ``engine.lock``, then plans
+  and executes entirely against the pinned objects.
 * Writers never mutate a pinned object.  A transaction applies its
-  changes to private copy-on-write table/index copies; :meth:`commit`
-  locks only its **conflict set** — the tables it wrote, dropped or
-  created plus the index names it touched — through the per-name
-  :class:`TableLockManager` (canonical sorted order, so overlapping
-  committers cannot deadlock), validates first-committer-wins against
-  the live catalog (a loser gets
-  :class:`~repro.errors.SerializationError`), appends its WAL record
-  through the group-commit flusher, and finally takes the write lock
-  only for the brief dict-swap publish.  Commits on disjoint tables
-  validate, flush and publish in parallel; a short-lived global
-  barrier (``commit_barrier``) serializes only catalog-wide DDL
-  (views), ``CHECKPOINT`` and close.
+  changes to private copy-on-write table/index copies; :meth:`commit
+  <commit_transaction>` queues the transaction's diff for the **commit
+  leader**.  The first committer to find no leader becomes it: it
+  takes the queue in batches of pairwise-disjoint conflict sets,
+  validates each commit first-committer-wins against the live catalog
+  (a loser gets :class:`~repro.errors.SerializationError`), logs the
+  batch's WAL records with one write and one fsync, and publishes them
+  under ``engine.lock`` — the lock is held only for that dict swap.
+  Only the leader ever changes the catalog, so validation needs no
+  lock, and no background thread exists.
 * Autocommit statements are one-statement transactions; on a
   serialization conflict the connection retries the statement on a
   fresh snapshot.
@@ -46,188 +43,32 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..catalog import Catalog
-from ..errors import InterfaceError
+from ..errors import InterfaceError, StorageError
 from .config import SessionConfig
 from .plan_cache import PlanCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from .connection import Connection
-    from .transaction import Transaction
+    from .transaction import CommitDiff, Transaction
 
 
-class RWLock:
-    """A writer-preferring reader-writer lock.
+class _CommitTicket:
+    """One queued commit: the transaction, its diff, and — once the
+    leader has handled it — ``done`` plus the error to raise, if any."""
 
-    Many readers may hold the lock concurrently; a writer holds it
-    exclusively.  Writer-preferring: once a writer is waiting, new
-    readers queue behind it, so a steady stream of snapshots cannot
-    starve commits.  Both sides are reentrant for the holding thread —
-    re-acquiring the read side while a writer is queued must not send
-    the established reader to the back of the line — and a thread
-    holding the write lock may also take (and release) the read side,
-    which shares the write depth.  Read-to-write upgrades raise
-    :class:`~repro.errors.InterfaceError` instead of deadlocking.
-    """
+    __slots__ = ("txn", "diff", "keys", "indexes", "done", "error")
 
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0                     # held read entries, re-entries included
-        self._read_depths: dict[int, int] = {}  # thread id -> read depth
-        self._writer: int | None = None      # owning thread id
-        self._write_depth = 0
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:            # writer may re-enter as reader
-                self._write_depth += 1
-                return
-            depth = self._read_depths.get(me, 0)
-            if depth:
-                # Re-entrant read.  This thread was already admitted; a
-                # waiting writer cannot run until it fully releases, so
-                # queueing behind the writer here (as a fresh reader
-                # must) would deadlock both threads.
-                self._read_depths[me] = depth + 1
-                self._readers += 1
-                return
-            while self._writer is not None or self._writers_waiting:
-                self._cond.wait()
-            self._read_depths[me] = 1
-            self._readers += 1
-
-    def release_read(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                # The write-lock owner's read entries share the write
-                # depth; route through the write-release bookkeeping so
-                # a depth-0 release clears the owner and wakes waiters
-                # even under a mismatched guard pairing.
-                self._release_write_locked()
-                return
-            depth = self._read_depths.get(me, 0)
-            assert depth > 0, \
-                "release_read() without a matching acquire_read()"
-            if depth == 1:
-                del self._read_depths[me]
-            else:
-                self._read_depths[me] = depth - 1
-            self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                self._write_depth += 1
-                return
-            if self._read_depths.get(me, 0):
-                raise InterfaceError(
-                    "read-to-write lock upgrade: this thread holds the "
-                    "read side; the writer would wait for its own read "
-                    "to release — restructure to release the read lock "
-                    "first")
-            self._writers_waiting += 1
-            try:
-                while self._writer is not None or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = me
-            self._write_depth = 1
-
-    def release_write(self) -> None:
-        with self._cond:
-            assert self._writer == threading.get_ident(), \
-                "release_write() by a thread that does not own the lock"
-            self._release_write_locked()
-
-    def _release_write_locked(self) -> None:
-        """Drop one write-side entry; caller holds ``self._cond``."""
-        self._write_depth -= 1
-        assert self._write_depth >= 0, "unbalanced write-lock release"
-        if not self._write_depth:
-            self._writer = None
-            self._cond.notify_all()
-
-    class _Guard:
-        __slots__ = ("_acquire", "_release")
-
-        def __init__(self, acquire: Callable[[], None],
-                     release: Callable[[], None]) -> None:
-            self._acquire = acquire
-            self._release = release
-
-        def __enter__(self) -> "RWLock._Guard":
-            self._acquire()
-            return self
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._release()
-
-    def read(self) -> "RWLock._Guard":
-        """``with lock.read():`` — shared acquisition."""
-        return RWLock._Guard(self.acquire_read, self.release_read)
-
-    def write(self) -> "RWLock._Guard":
-        """``with lock.write():`` — exclusive acquisition."""
-        return RWLock._Guard(self.acquire_write, self.release_write)
-
-
-class TableLockManager:
-    """Named exclusive locks over the commit path's conflict sets.
-
-    A committing transaction locks every name in its conflict set —
-    tables it wrote, dropped or created (``t:<table>``) and index names
-    it created or dropped (``i:<index>``) — before validating, so two
-    commits can interleave only when their sets are disjoint.
-    :meth:`acquire` sorts the keys and always locks in that one
-    canonical order; overlapping committers therefore contend on their
-    first common key and can never deadlock on each other.
-
-    Locks are created on demand and never discarded: names are few,
-    and dropping a lock while another thread holds it would fork the
-    mutual exclusion it provides.
-    """
-
-    class _Guard:
-        __slots__ = ("_locks",)
-
-        def __init__(self, locks: list[threading.Lock]) -> None:
-            self._locks = locks
-
-        def __enter__(self) -> "TableLockManager._Guard":
-            for lock in self._locks:
-                lock.acquire()
-            return self
-
-        def __exit__(self, *exc_info: object) -> None:
-            for lock in reversed(self._locks):
-                lock.release()
-
-    def __init__(self) -> None:
-        self._registry_lock = threading.Lock()
-        self._locks: dict[str, threading.Lock] = {}
-
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._registry_lock:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = self._locks[key] = threading.Lock()
-            return lock
-
-    def acquire(self, keys: "Iterable[str]") -> "TableLockManager._Guard":
-        """``with table_locks.acquire(keys):`` — all of *keys*,
-        exclusively, taken in canonical (sorted, deduplicated) order."""
-        ordered = sorted(set(keys))
-        return TableLockManager._Guard(
-            [self._lock_for(key) for key in ordered])
+    def __init__(self, txn: "Transaction", diff: "CommitDiff") -> None:
+        self.txn = txn
+        self.diff = diff
+        self.keys = diff.lock_keys
+        self.indexes: tuple = ()
+        self.done = False
+        self.error: "BaseException | None" = None
 
 
 class Engine:
@@ -258,38 +99,25 @@ class Engine:
                     "durable engine recovers its catalog from disk")
             from ..storage.store import DurableStore
             self.storage, catalog = DurableStore.open(
-                path, self.config.durability,
-                group_commit_ms=self.config.group_commit_ms)
+                path, self.config.durability)
         self.catalog = catalog if catalog is not None else Catalog()
         self.plan_cache = PlanCache(self.config.plan_cache_size)
-        self.lock = RWLock()
-        #: Commit-scope barrier, ordered *before* the table locks and
-        #: ``self.lock``.  Table-scoped commits hold its read side for
-        #: their whole validate/log/publish span; catalog-wide commits
-        #: (view DDL), ``exclusive()``, ``checkpoint()`` and ``close()``
-        #: take the write side and therefore see no commit in flight.
-        self.commit_barrier = RWLock()
-        #: Per-name commit locks (see :class:`TableLockManager`).
-        self.table_locks = TableLockManager()
+        #: Orders snapshots against publishes; taken after commit
+        #: leadership, never before it.
+        self.lock = threading.RLock()
+        # -- the commit sequencer (see commit_transaction) ---------------
+        self._commit_cond = threading.Condition(threading.Lock())
+        self._queue: list[_CommitTicket] = []
+        self._leader: "int | None" = None    # thread id of the leader
+        #: WAL bytes past which the leader checkpoints (0: never)
+        self._checkpoint_bytes = (self.config.checkpoint_wal_mb
+                                  * 1024 * 1024)
         self._sessions: "weakref.WeakSet[Connection]" = weakref.WeakSet()
         self._closed = False
         # serializes close() against concurrent close()/checkpoint()
         # callers — close must run its teardown exactly once even when
         # several threads (server shutdown, a finalizer, user code) race
         self._close_lock = threading.Lock()
-        self._checkpoint_thread: "threading.Thread | None" = None
-        self._checkpoint_wakeup = threading.Event()
-        if self.storage is not None and self.config.checkpoint_wal_mb > 0:
-            # background checkpointing: the group-commit flusher flags
-            # the event once the WAL outgrows the configured budget, and
-            # this thread compacts it off the commit path
-            self.storage.growth_threshold = \
-                self.config.checkpoint_wal_mb * 1024 * 1024
-            self.storage.growth_event = self._checkpoint_wakeup
-            self._checkpoint_thread = threading.Thread(
-                target=self._auto_checkpoint_loop,
-                name="repro-checkpointer", daemon=True)
-            self._checkpoint_thread.start()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -338,29 +166,20 @@ class Engine:
         teardown exactly once, and closing while other sessions are
         mid-statement is safe — open transactions are rolled back under
         each session's state lock, readers keep streaming from their
-        pinned snapshots, and the WAL is closed under the write lock so
-        it is never yanked out from under an in-flight commit.
+        pinned snapshots, and the WAL is closed under commit leadership
+        so it is never yanked out from under an in-flight batch.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        checkpointer = self._checkpoint_thread
-        if checkpointer is not None:
-            self._checkpoint_wakeup.set()   # observe _closed and exit
-            checkpointer.join()
-            self._checkpoint_thread = None
         for session in list(self._sessions):
             session.close()
         self._sessions.clear()
         self.plan_cache.clear()
         if self.storage is not None:
-            # the barrier's write side drains every in-flight commit
-            # (each holds the read side across its WAL flush), so the
-            # store — and its flusher thread — shut down quiesced
-            with self.commit_barrier.write():
-                with self.lock.write():
-                    self.storage.close()
+            with self.exclusive():
+                self.storage.close()
 
     # -- durability -----------------------------------------------------------
 
@@ -372,54 +191,34 @@ class Engine:
     def checkpoint(self) -> str:
         """Compact the WAL into a fresh snapshot (SQL: ``CHECKPOINT``).
 
-        Runs under the commit barrier (exclusive) plus the write lock:
-        no commit is mid-flush or mid-publish, so the image is a
-        committed-state cut and every allocated LSN is both flushed and
-        applied.  Returns the database directory.  Raises
+        Runs as the commit leader plus ``engine.lock``: no batch is
+        between its WAL append and its publish, so the image is a
+        committed-state cut and every logged LSN is applied.  Returns
+        the database directory.  Raises
         :class:`~repro.errors.StorageError` on an in-memory engine —
         there is nowhere to persist to (``Engine(path=...)`` /
         ``connect(path=...)`` attach one).
         """
         if self.storage is None:
-            from ..errors import StorageError
             raise StorageError(
                 "engine has no durable storage; open the database with "
                 "Engine(path=...) or connect(path=...)")
-        with self.commit_barrier.write():
-            with self.lock.write():
-                # re-checked under the locks: a close() racing this
-                # call must not see its WAL resurrected by the
-                # checkpoint
-                if self._closed:
-                    raise InterfaceError("engine is closed")
-                self.storage.checkpoint(self.catalog)
-        return str(self.storage.path)
-
-    def _auto_checkpoint_loop(self) -> None:
-        """Background checkpointer: waits for the flusher's WAL-growth
-        signal and compacts without stalling committers for longer than
-        one checkpoint's barrier hold."""
-        from ..errors import StorageError
-        while True:
-            self._checkpoint_wakeup.wait()
+        with self.exclusive():
+            # re-checked under leadership: a close() racing this call
+            # must not see its WAL resurrected by the checkpoint
             if self._closed:
-                return
-            self._checkpoint_wakeup.clear()
-            try:
-                self.checkpoint()
-            except (InterfaceError, StorageError):
-                # closed underneath us, or the store poisoned its WAL —
-                # either way the foreground paths surface the error;
-                # the background thread just stops compacting
-                return
+                raise InterfaceError("engine is closed")
+            self.storage.checkpoint(self.catalog)
+        return str(self.storage.path)
 
     # -- snapshots and transactions -------------------------------------------
 
     def snapshot(self) -> Catalog:
         """A consistent point-in-time catalog copy (see
-        :meth:`repro.catalog.Catalog.snapshot`), captured under the read
-        lock so it can never observe a half-applied commit."""
-        with self.lock.read():
+        :meth:`repro.catalog.Catalog.snapshot`), captured under
+        ``engine.lock`` so it can never observe a half-published
+        batch."""
+        with self.lock:
             return self.catalog.snapshot()
 
     def begin(self) -> "Transaction":
@@ -428,73 +227,167 @@ class Engine:
         return Transaction(self)
 
     def commit_transaction(self, txn: "Transaction") -> None:
-        """Validate and publish *txn* (the engine side of
-        :meth:`Transaction.commit`).
+        """Validate, log and publish *txn* (the engine side of
+        :meth:`Transaction.commit`); returns once its record is durable
+        per ``durability`` and published.
 
-        Lock order — the invariant every commit-path change must keep
-        (checked by ``repro.analysis``, documented in
-        ``docs/invariants.md``):
-
-        1. ``commit_barrier`` — read side for a table-scoped commit,
-           write side when the diff is catalog-wide (view DDL);
-        2. the per-name commit locks of the transaction's conflict set,
-           in :class:`TableLockManager`'s canonical sorted order;
-        3. ``self.lock`` — read side while validation gathers live
-           state, write side for the publish.
-
-        Commits whose conflict sets are disjoint therefore validate,
-        group-flush their WAL records and publish concurrently; losers
-        of a name conflict serialize on step 2 and fail validation with
-        :class:`~repro.errors.SerializationError`.
+        The committer queues its diff.  If no thread leads, it becomes
+        the leader and handles batches (:meth:`_commit_batch`) until its
+        own commit is done, plus one more, then steps down.  Otherwise it sleeps until
+        a leader has handled its ticket, or leadership is free.  A commit made by the thread that
+        holds :meth:`exclusive` is already the leader and runs alone,
+        inline.  Lock order (``docs/invariants.md``): commit leadership,
+        then ``engine.lock``.
         """
-        from .transaction import (compute_commit_diff, publish_commit,
-                                  validate_commit)
-        diff = compute_commit_diff(txn)
-        if diff.catalog_wide:
-            barrier = self.commit_barrier.write()
+        from .transaction import compute_commit_diff
+        ticket = _CommitTicket(txn, compute_commit_diff(txn))
+        me = threading.get_ident()
+        if self._leader == me:
+            self._commit_batch([ticket])
         else:
-            barrier = self.commit_barrier.read()
-        with barrier:
-            with self.table_locks.acquire(diff.lock_keys):
-                new_indexes, gone_indexes = validate_commit(
-                    txn, diff, self.catalog, rlock=self.lock)
-                storage = self.storage
-                if storage is not None and storage.logs_commits:
-                    from ..storage.wal import (collect_commit_ops,
-                                               encode_commit_ops)
-                    ops = collect_commit_ops(
-                        txn, diff.created, diff.dropped, diff.written,
-                        diff.new_views, diff.gone_views,
-                        new_indexes, gone_indexes)
-                    if ops:
-                        # blocks until the group-commit flusher made
-                        # the record durable per the durability mode; a
-                        # flush failure aborts before any shared-state
-                        # mutation below
-                        storage.append_commit(encode_commit_ops(ops))
-                with self.lock.write():
-                    publish_commit(txn, diff, new_indexes, gone_indexes,
-                                   self.catalog)
+            cond = self._commit_cond
+            with cond:
+                self._queue.append(ticket)
+                while not ticket.done and self._leader is not None:
+                    cond.wait()
+                if not ticket.done:
+                    self._leader = me
+            if self._leader == me:
+                self._lead(ticket)
+        if ticket.error is not None:
+            raise ticket.error
 
-    def exclusive(self) -> "RWLock._Guard":
+    def _lead(self, own: _CommitTicket) -> None:
+        """Handle batches until *own* is done, plus one more — the
+        commits that queued during its last fsync, handled at once
+        instead of after a thread wake-up — then step down and wake the
+        queue: a waiter whose ticket is still queued takes over.  So no
+        thread leads for long and :meth:`exclusive` cannot starve
+        behind a busy queue.  If a batch raises, the leader withdraws
+        its own ticket (when still queued) before stepping down."""
+        cond = self._commit_cond
+        try:
+            while not own.done:
+                with cond:
+                    batch = self._next_batch()
+                self._commit_batch(batch)
+            with cond:
+                batch = self._next_batch()
+            if batch:
+                self._commit_batch(batch)
+        finally:
+            with cond:
+                if own in self._queue:
+                    self._queue.remove(own)
+                self._leader = None
+                cond.notify_all()
+
+    def _next_batch(self) -> list[_CommitTicket]:
+        """Pop the longest queue prefix whose conflict sets are pairwise
+        disjoint; a catalog-wide diff (view DDL) is a batch of its own.
+        Conflicting commits therefore land in different batches, and
+        the later one validates against the published winner.  Caller
+        holds ``_commit_cond``."""
+        batch: list[_CommitTicket] = []
+        taken: set[str] = set()
+        for ticket in self._queue:
+            if batch and (ticket.diff.catalog_wide
+                          or batch[0].diff.catalog_wide
+                          or not taken.isdisjoint(ticket.keys)):
+                break
+            batch.append(ticket)
+            taken.update(ticket.keys)
+        del self._queue[:len(batch)]
+        return batch
+
+    def _commit_batch(self, batch: list[_CommitTicket]) -> None:
+        """The leader's work for one batch: validate each commit, append
+        each WAL record, one write + fsync for all of them, publish
+        them under ``engine.lock``, wake their committers — then
+        checkpoint if the WAL is over ``checkpoint_wal_mb``.
+
+        A failed flush fails every commit in the batch with
+        :class:`~repro.errors.StorageError` before any of them
+        publishes."""
+        from ..storage.wal import collect_commit_ops, encode_commit_ops
+        from .transaction import publish_commit, validate_commit
+        storage = self.storage
+        logged = storage is not None and storage.logs_commits
+        try:
+            ready = []
+            for ticket in batch:
+                txn, diff = ticket.txn, ticket.diff
+                try:
+                    ticket.indexes = validate_commit(txn, diff,
+                                                     self.catalog)
+                    if logged:
+                        ops = collect_commit_ops(
+                            txn, diff.created, diff.dropped, diff.written,
+                            diff.new_views, diff.gone_views,
+                            *ticket.indexes)
+                        if ops:
+                            storage.append_commit(encode_commit_ops(ops))
+                except Exception as exc:   # raised in the committer
+                    ticket.error = exc
+                else:
+                    ready.append(ticket)
+            if logged:
+                try:
+                    storage.flush()
+                except StorageError as exc:
+                    for ticket in ready:
+                        ticket.error = StorageError(str(exc))
+                    ready = []
+            with self.lock:
+                for ticket in ready:
+                    publish_commit(ticket.txn, ticket.diff,
+                                   *ticket.indexes, self.catalog)
+        except BaseException as exc:
+            if storage is not None:
+                storage.discard_staged()
+            for ticket in batch:
+                if ticket.error is None:
+                    ticket.error = exc
+            raise
+        finally:
+            with self._commit_cond:
+                for ticket in batch:
+                    ticket.done = True
+                self._commit_cond.notify_all()
+        if logged and self._checkpoint_bytes and \
+                storage.bytes_since_checkpoint >= self._checkpoint_bytes:
+            try:
+                self.checkpoint()
+            except (InterfaceError, StorageError, OSError):
+                # the batch is durable and published already; a closed
+                # engine or a failing compaction stops auto-checkpoints
+                # and an explicit CHECKPOINT surfaces the error
+                self._checkpoint_bytes = 0
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
         """Full mutual exclusion against every commit *and* snapshot:
-        the commit barrier (write side) plus the engine write lock, in
-        the canonical outermost-first order.  The bulk-write path and
-        the shell's ``\\tpch`` loader wrap multi-statement work in it;
-        commits issued while holding it still succeed (both locks are
-        reentrant and the table locks are free)."""
-        barrier = self.commit_barrier.write()
-        inner = self.lock.write()
-
-        def acquire() -> None:
-            barrier.__enter__()
-            inner.__enter__()
-
-        def release() -> None:
-            inner.__exit__(None, None, None)
-            barrier.__exit__(None, None, None)
-
-        return RWLock._Guard(acquire, release)
+        commit leadership plus ``engine.lock``, in that order.  The
+        bulk-write path and the shell's ``\\tpch`` loader wrap
+        multi-statement work in it; commits (and checkpoints) issued
+        while holding it run inline as the leader."""
+        me = threading.get_ident()
+        if self._leader == me:
+            with self.lock:
+                yield
+            return
+        cond = self._commit_cond
+        with cond:
+            while self._leader is not None:
+                cond.wait()
+            self._leader = me
+        try:
+            with self.lock:
+                yield
+        finally:
+            with cond:
+                self._leader = None
+                cond.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else \

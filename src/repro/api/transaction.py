@@ -11,14 +11,12 @@ and writes go through that private catalog:
 * DDL (CREATE/DROP of tables, views, indexes; ANALYZE) applies to the
   private catalog directly, visible to this transaction only.
 
-``commit()`` hands the transaction to the engine, which — holding the
-commit locks of the transaction's conflict set, not a global writer
-lock — validates *first-committer-wins* against the per-table data
-generations captured at snapshot time and then **swaps** the private
-objects into the shared catalog under the engine write lock.  A
-conflict raises :class:`~repro.errors.SerializationError` and leaves
-the shared state untouched; ``rollback()`` (or an abandoned
-transaction) simply discards
+``commit()`` hands the transaction to the engine's commit leader, which
+validates *first-committer-wins* against the per-table data generations
+captured at snapshot time and then **swaps** the private objects into
+the shared catalog under ``engine.lock``.  A conflict raises
+:class:`~repro.errors.SerializationError` and leaves the shared state
+untouched; ``rollback()`` (or an abandoned transaction) simply discards
 the private snapshot — tables, indexes and statistics all revert for
 free because they were never changed.
 
@@ -46,7 +44,7 @@ from ..schema import Schema
 from ..storage.index import SecondaryIndex, build_index
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import Engine, RWLock
+    from .engine import Engine
 
 
 class Transaction:
@@ -181,10 +179,10 @@ class Transaction:
         """Validate and publish this transaction's changes atomically.
 
         The engine drives the commit (see
-        :meth:`repro.api.engine.Engine.commit_transaction`): it locks
-        the transaction's conflict set, validates first-committer-wins,
-        group-flushes the WAL record, and publishes under the write
-        lock.  A loser raises
+        :meth:`repro.api.engine.Engine.commit_transaction`): its commit
+        leader validates first-committer-wins, logs the WAL record with
+        the rest of its batch, and publishes under ``engine.lock``.  A
+        loser raises
         :class:`~repro.errors.SerializationError` and leaves the shared
         state untouched."""
         self._check_active()
@@ -200,10 +198,11 @@ class Transaction:
 
 # ---------------------------------------------------------------------------
 # Commit, in three phases driven by Engine.commit_transaction:
-#   compute_commit_diff — pure diff of the private snapshot (no locks),
+#   compute_commit_diff — pure diff of the private snapshot, on the
+#                         committer's own thread,
 #   validate_commit     — first-committer-wins checks against the live
-#                         catalog (caller holds the commit locks),
-#   publish_commit      — the apply step, under the engine write lock.
+#                         catalog, on the commit leader,
+#   publish_commit      — the apply step, on the leader under engine.lock.
 # ---------------------------------------------------------------------------
 
 def same_index_def(left: "SecondaryIndex",
@@ -223,8 +222,8 @@ class CommitDiff:
     """One transaction's private write-set, as names.
 
     Computed by :func:`compute_commit_diff` from the transaction's own
-    snapshot only — no live-catalog reads — so the commit path can size
-    its lock set *before* taking any lock.
+    snapshot only — no live-catalog reads — so the committer can build
+    it before it queues for the commit leader.
     """
 
     created: list[str]
@@ -247,17 +246,18 @@ class CommitDiff:
     @property
     def catalog_wide(self) -> bool:
         """View DDL rewrites name→AST bindings that *every* concurrent
-        commit validates against by identity; it commits under the
-        global barrier instead of per-name locks."""
+        commit validates against by identity; the leader commits it in
+        a batch of its own."""
         return bool(self.new_views or self.gone_views)
 
     @property
-    def lock_keys(self) -> list[str]:
-        """The conflict set as commit-lock keys: ``t:<table>`` for each
-        table written/dropped/created/re-ANALYZEd or carrying index
-        DDL, plus ``i:<index>`` for each index name created or dropped
-        (two transactions creating the same index name on *different*
-        tables must still conflict)."""
+    def lock_keys(self) -> set[str]:
+        """The conflict set: ``t:<table>`` for each table
+        written/dropped/created/re-ANALYZEd or carrying index DDL, plus
+        ``i:<index>`` for each index name created or dropped (two
+        transactions creating the same index name on *different* tables
+        must still conflict).  Commits whose sets intersect never share
+        a batch."""
         keys = {f"t:{name}" for name in self.created}
         keys.update(f"t:{name}" for name in self.dropped)
         keys.update(f"t:{name}" for name in self.written)
@@ -268,7 +268,7 @@ class CommitDiff:
         for name, index in self.removed_indexes:
             keys.add(f"t:{index.table}")
             keys.add(f"i:{name}")
-        return sorted(keys)
+        return keys
 
 
 def compute_commit_diff(txn: Transaction) -> CommitDiff:
@@ -315,125 +315,103 @@ def compute_commit_diff(txn: Transaction) -> CommitDiff:
 
 def validate_commit(
     txn: Transaction, diff: CommitDiff, live: Catalog,
-    rlock: "RWLock | None" = None,
 ) -> tuple[list[tuple[SecondaryIndex, bool]], list[tuple[str, bool]]]:
     """First-committer-wins validation against the live catalog.
 
-    The caller holds the commit barrier and every lock in
-    ``diff.lock_keys``, so the names under check cannot be republished
-    concurrently — but *disjoint* commits may be publishing other names
-    right now, so every live-catalog read happens under *rlock*'s read
-    side (publishers mutate the shared dicts under its write side).
-    The expensive part — rebuilding an index over a table that moved
-    since the snapshot — runs after the read lock is released, against
-    row lists pinned while it was held.
-
-    Returns ``(new_indexes, gone_indexes)`` for :func:`publish_commit`:
-    index objects (rebuilt where needed) paired with their
-    installed-via-table-swap flag.  Any conflict raises
-    :class:`~repro.errors.SerializationError`.
+    Runs on the commit leader, the only thread that changes the live
+    catalog, so it reads without a lock.  Returns ``(new_indexes,
+    gone_indexes)`` for :func:`publish_commit`: index objects (rebuilt
+    where needed) paired with their installed-via-table-swap flag.  Any
+    conflict raises :class:`~repro.errors.SerializationError`.
     """
-    from contextlib import nullcontext
-
-    private = txn.catalog
     new_indexes: list[tuple[SecondaryIndex, bool]] = []
     gone_indexes: list[tuple[str, bool]] = []
-    #: (position in new_indexes, stale index, pinned live rows)
-    rebuilds: list[tuple[int, SecondaryIndex, list]] = []
     touched = diff.touched
     dropped = set(diff.dropped)
-    guard = nullcontext() if rlock is None else rlock.read()
-    with guard:
-        for key in set(diff.written) | dropped:
-            if key not in live:
-                raise SerializationError(
-                    f"could not serialize access: table {key!r} was "
-                    f"concurrently dropped")
-            if live.data_version(key) != \
-                    txn._base_data_versions.get(key, 0):
-                raise SerializationError(
-                    f"could not serialize access: table {key!r} was "
-                    f"concurrently updated")
-            # swapping/dropping this table replaces its index list
-            # wholesale with the snapshot-era (plus in-txn) objects —
-            # concurrent index DDL on it would be silently undone, so
-            # it must conflict
-            base_ids = {id(ix) for ix in txn._base_indexes.values()
-                        if ix.table == key}
-            live_ids = {id(ix) for ix in live.indexes_on(key)}
-            if base_ids != live_ids:
-                raise SerializationError(
-                    f"could not serialize access: indexes on table "
-                    f"{key!r} were concurrently changed")
-        for key in diff.created:
-            if key in live and key not in dropped:
-                raise SerializationError(
-                    f"could not serialize access: table {key!r} was "
-                    f"concurrently created")
-        for name, _ in diff.new_views:
-            base_query = txn._base_views.get(name)
-            live_query = live._views.get(name)
-            if base_query is None:
-                if live_query is not None:
-                    raise SerializationError(
-                        f"could not serialize access: view {name!r} "
-                        f"was concurrently created")
-            elif live_query is not base_query:
-                raise SerializationError(
-                    f"could not serialize access: view {name!r} was "
-                    f"concurrently replaced or dropped")
-        for name in diff.gone_views:
-            if live._views.get(name) is not txn._base_views.get(name):
-                raise SerializationError(
-                    f"could not serialize access: view {name!r} was "
-                    f"concurrently replaced or dropped")
-        for index in diff.added_indexes:
-            base = txn._base_indexes.get(index.name)
-            if base is None and index.name in live._indexes:
-                raise SerializationError(
-                    f"could not serialize access: index {index.name!r} "
-                    f"was concurrently created")
-            if index.table in touched:
-                new_indexes.append((index, True))  # installed via swap
-                continue
-            if live.data_version(index.table) != \
-                    txn._base_data_versions.get(index.table, 0):
-                # the indexed table moved under us: rebuild over the
-                # live rows (outside the read lock, over the list
-                # pinned here), so a unique violation surfaces as a
-                # conflict rather than failing mid-apply
-                rebuilds.append((len(new_indexes), index,
-                                 live.get(index.table).rows))
-            new_indexes.append((index, False))
-        for name, index in diff.removed_indexes:
-            if index.table in touched or index.table in dropped:
-                gone_indexes.append((name, True))  # removed via swap/drop
-                continue
-            live_index = live._indexes.get(name)
-            if live_index is None:
-                raise SerializationError(
-                    f"could not serialize access: index {name!r} was "
-                    f"concurrently dropped")
-            if not same_index_def(live_index, index):
-                # definition, not just presence: a concurrent
-                # transaction replaced the index — dropping the *name*
-                # would clobber its committed definition
-                # (first-committer-wins).  A mere clone (concurrent DML
-                # on the table) keeps the definition and may be
-                # dropped.
-                raise SerializationError(
-                    f"could not serialize access: index {name!r} was "
-                    f"concurrently replaced")
-            gone_indexes.append((name, False))
-    for position, index, rows in rebuilds:
-        try:
-            rebuilt = build_index(
-                index.kind, index.name, index.table, index.column,
-                index.position, rows, index.unique)
-        except CatalogError as exc:
+    for key in set(diff.written) | dropped:
+        if key not in live:
             raise SerializationError(
-                f"could not serialize access: {exc}") from exc
-        new_indexes[position] = (rebuilt, False)
+                f"could not serialize access: table {key!r} was "
+                f"concurrently dropped")
+        if live.data_version(key) != txn._base_data_versions.get(key, 0):
+            raise SerializationError(
+                f"could not serialize access: table {key!r} was "
+                f"concurrently updated")
+        # swapping/dropping this table replaces its index list
+        # wholesale with the snapshot-era (plus in-txn) objects —
+        # concurrent index DDL on it would be silently undone, so it
+        # must conflict
+        base_ids = {id(ix) for ix in txn._base_indexes.values()
+                    if ix.table == key}
+        live_ids = {id(ix) for ix in live.indexes_on(key)}
+        if base_ids != live_ids:
+            raise SerializationError(
+                f"could not serialize access: indexes on table "
+                f"{key!r} were concurrently changed")
+    for key in diff.created:
+        if key in live and key not in dropped:
+            raise SerializationError(
+                f"could not serialize access: table {key!r} was "
+                f"concurrently created")
+    for name, _ in diff.new_views:
+        base_query = txn._base_views.get(name)
+        live_query = live._views.get(name)
+        if base_query is None:
+            if live_query is not None:
+                raise SerializationError(
+                    f"could not serialize access: view {name!r} was "
+                    f"concurrently created")
+        elif live_query is not base_query:
+            raise SerializationError(
+                f"could not serialize access: view {name!r} was "
+                f"concurrently replaced or dropped")
+    for name in diff.gone_views:
+        if live._views.get(name) is not txn._base_views.get(name):
+            raise SerializationError(
+                f"could not serialize access: view {name!r} was "
+                f"concurrently replaced or dropped")
+    for index in diff.added_indexes:
+        base = txn._base_indexes.get(index.name)
+        if base is None and index.name in live._indexes:
+            raise SerializationError(
+                f"could not serialize access: index {index.name!r} was "
+                f"concurrently created")
+        if index.table in touched:
+            new_indexes.append((index, True))  # installed via swap
+            continue
+        if live.data_version(index.table) != \
+                txn._base_data_versions.get(index.table, 0):
+            # the indexed table moved under us: rebuild over the live
+            # rows, so a unique violation surfaces as a conflict rather
+            # than failing mid-apply
+            try:
+                index = build_index(
+                    index.kind, index.name, index.table, index.column,
+                    index.position, live.get(index.table).rows,
+                    index.unique)
+            except CatalogError as exc:
+                raise SerializationError(
+                    f"could not serialize access: {exc}") from exc
+        new_indexes.append((index, False))
+    for name, index in diff.removed_indexes:
+        if index.table in touched or index.table in dropped:
+            gone_indexes.append((name, True))  # removed via swap/drop
+            continue
+        live_index = live._indexes.get(name)
+        if live_index is None:
+            raise SerializationError(
+                f"could not serialize access: index {name!r} was "
+                f"concurrently dropped")
+        if not same_index_def(live_index, index):
+            # definition, not just presence: a concurrent transaction
+            # replaced the index — dropping the *name* would clobber its
+            # committed definition (first-committer-wins).  A mere clone
+            # (concurrent DML on the table) keeps the definition and may
+            # be dropped.
+            raise SerializationError(
+                f"could not serialize access: index {name!r} was "
+                f"concurrently replaced")
+        gone_indexes.append((name, False))
     return new_indexes, gone_indexes
 
 
@@ -442,8 +420,8 @@ def publish_commit(txn: Transaction, diff: CommitDiff,
                    gone_indexes: list[tuple[str, bool]],
                    live: Catalog) -> None:
     """The apply step — it cannot fail halfway: everything that *could*
-    fail ran in :func:`validate_commit`.  The caller holds the engine
-    write lock (plus the commit locks that validated *diff*).
+    fail ran in :func:`validate_commit`.  The caller is the commit
+    leader that validated *diff*, and holds ``engine.lock``.
 
     Index drops run before installs so that a replaced index name
     (``DROP INDEX i; CREATE INDEX i ON other...``) frees its entry

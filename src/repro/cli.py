@@ -133,9 +133,9 @@ class Shell:
             scale = float(args[0]) if args else 0.0001
             generated = load_tpch(scale=scale)
             engine = self.conn.engine
-            # exclusive() = commit barrier + write lock, in the
-            # canonical order — taking the bare write lock here and
-            # then checkpointing (which needs the barrier) would
+            # exclusive() = commit leadership + engine.lock, in the
+            # canonical order — taking the bare engine lock here and
+            # then checkpointing (which needs leadership) would
             # invert the lock order against in-flight commits
             with engine.exclusive():
                 for table in generated.catalog.names():
@@ -144,8 +144,9 @@ class Shell:
                         replace=True)
                 if engine.storage is not None:
                     # register() bypasses the transactional WAL path;
-                    # checkpointing inside the same hold (both locks
-                    # are reentrant) makes the bulk load durable
+                    # checkpointing inside the same hold (leadership
+                    # and engine.lock both re-enter) makes the bulk
+                    # load durable
                     # *before* the WAL-logged view commits below can
                     # reference the new tables
                     engine.checkpoint()

@@ -15,10 +15,10 @@ the engines themselves:
 * ``worker_threads`` — the bounded session pool.  Engine work (parse,
   plan, execute, stream) runs on this many threads; with more clients
   than workers, statements queue — backpressure instead of thread
-  explosion.  The default scales with the host's CPU count: commits on
-  disjoint tables proceed in parallel (per-table commit locks + group
-  commit), so a write-heavy multi-client load is no longer serialized
-  behind one global writer lock and benefits from more workers.
+  explosion.  The default scales with the host's CPU count: concurrent
+  commits share one WAL write and fsync (the engine's commit leader
+  batches them), so a write-heavy multi-client load benefits from more
+  workers.
 """
 
 from __future__ import annotations

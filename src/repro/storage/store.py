@@ -14,18 +14,18 @@ Lifecycle:
   every WAL record whose LSN exceeds the snapshot's, stopping — and
   truncating — at the first torn or corrupt record (an interrupted
   append is an uncommitted transaction).
-* :meth:`DurableStore.append_commit` is the **group-commit** entry:
-  the committer is assigned the next LSN under the queue lock, its
-  framed record joins the pending batch, and the call blocks until the
-  single flusher thread has appended the whole batch with one
-  ``write()`` and — with ``durability="commit"`` — one fsync *for
-  every record in it* (committed-means-durable, amortized).  With
-  ``"checkpoint"`` the batch is only flushed to the OS (fsync happens
-  at checkpoint/close), and with ``"off"`` commits are not logged at
-  all — only an explicit ``CHECKPOINT`` persists anything.  Called
-  *before* the commit's in-memory apply: a failed batch fails every
-  waiter in it, none of their applies proceed, and the torn tail is
-  truncated back off the file.
+* :meth:`DurableStore.append_commit` and :meth:`DurableStore.flush`
+  are the **group-commit** write path, both called only by the engine's
+  commit leader.  ``append_commit`` assigns a record the next LSN and
+  stages it; ``flush`` appends every staged record with one ``write()``
+  and — with ``durability="commit"`` — one fsync *for all of them*
+  (committed-means-durable, amortized).  With ``"checkpoint"`` the
+  batch is only flushed to the OS (fsync happens at checkpoint/close),
+  and with ``"off"`` commits are not logged at all — only an explicit
+  ``CHECKPOINT`` persists anything.  Both run *before* the batch's
+  in-memory publish: a failed flush fails every commit in the batch,
+  none of them publishes, and the torn tail is truncated back off the
+  file.
 * :meth:`DurableStore.checkpoint` compacts: write a fresh snapshot
   (atomic temp-file + rename), then reset the WAL.  A crash between the
   two is safe — the snapshot records the LSN it incorporates and replay
@@ -35,7 +35,6 @@ Lifecycle:
 from __future__ import annotations
 
 import os
-import threading
 from pathlib import Path
 from typing import BinaryIO
 
@@ -76,48 +75,25 @@ def _acquire_dir_lock(path: Path) -> "BinaryIO | None":
     return handle
 
 
-class _CommitTicket:
-    """One committer's seat in a group-commit batch: its framed record,
-    its pre-assigned LSN, and the event its thread blocks on until the
-    flusher either made the batch durable or failed it."""
-
-    __slots__ = ("frame", "lsn", "event", "error")
-
-    def __init__(self, frame: bytes, lsn: int) -> None:
-        self.frame = frame
-        self.lsn = lsn
-        self.event = threading.Event()
-        self.error: "BaseException | None" = None
-
-
 class DurableStore:
     """Filesystem state behind one durable :class:`~repro.api.Engine`."""
 
-    def __init__(self, path: str | Path, durability: str = "commit",
-                 group_commit_ms: float = 0.0) -> None:
+    def __init__(self, path: str | Path, durability: str = "commit"
+                 ) -> None:
         self.path = Path(path)
         self.durability = durability
-        self.group_commit_ms = group_commit_ms
         self.last_lsn = 0       # highest *flushed* LSN
         self._wal = None        # append handle, opened by open()
         self._dir_lock = None   # exclusive flock held while open
-        # -- group commit (see append_commit) --------------------------
-        self._group_cond = threading.Condition()
-        self._allocated_lsn = 0     # highest LSN handed to a committer
-        self._pending: list[_CommitTicket] = []
-        self._flusher: "threading.Thread | None" = None
-        self._flusher_stop = False
-        # serializes the flusher's batch IO against checkpoint()'s
-        # snapshot-and-reset of the WAL handle
-        self._io_lock = threading.Lock()
+        self._allocated_lsn = 0     # highest LSN handed to a record
+        self._staged: list[bytes] = []  # framed records awaiting flush()
         #: batches flushed / records they carried (observability + the
         #: multi-writer bench's amortization evidence)
         self.flush_batches = 0
         self.flushed_records = 0
-        # -- background-checkpoint signaling (set by the Engine) -------
+        #: WAL bytes flushed since the last checkpoint (the engine's
+        #: ``checkpoint_wal_mb`` budget reads it)
         self.bytes_since_checkpoint = 0
-        self.growth_threshold = 0           # 0: never signal
-        self.growth_event: "threading.Event | None" = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -139,14 +115,13 @@ class DurableStore:
 
     @classmethod
     def open(cls, path: str | Path, durability: str = "commit",
-             group_commit_ms: float = 0.0,
              ) -> tuple["DurableStore", Catalog]:
         """Open-or-recover a database directory.
 
         Returns the store and the recovered catalog: snapshot image (or
         empty) plus the committed WAL suffix.
         """
-        store = cls(path, durability, group_commit_ms)
+        store = cls(path, durability)
         store.path.mkdir(parents=True, exist_ok=True)
         store._dir_lock = _acquire_dir_lock(store.path)
         if store.snapshot_path.exists():
@@ -170,11 +145,6 @@ class DurableStore:
                 _fsync_dir(store.path)
                 _fsync_dir(store.path.parent)
         store._allocated_lsn = store.last_lsn
-        if store.logs_commits:
-            store._flusher = threading.Thread(
-                target=store._flush_loop, name="repro-wal-flusher",
-                daemon=True)
-            store._flusher.start()
         return store, catalog
 
     def _recover_wal(self, catalog: Catalog) -> None:
@@ -226,17 +196,8 @@ class DurableStore:
                 os.fsync(fh.fileno())
 
     def close(self) -> None:
-        """Stop the flusher (draining queued batches first), fsync and
-        close the WAL, release the directory lock.  The engine calls
-        this with the commit barrier held exclusively, so no committer
-        is between enqueue and wait."""
-        flusher = self._flusher
-        if flusher is not None:
-            with self._group_cond:
-                self._flusher_stop = True
-                self._group_cond.notify_all()
-            flusher.join()
-            self._flusher = None
+        """Fsync and close the WAL, release the directory lock.  The
+        engine calls this as the commit leader, so nothing is staged."""
         if self._wal is not None:
             try:
                 if self.durability != "off":
@@ -251,106 +212,68 @@ class DurableStore:
     # -- the write path ------------------------------------------------------
 
     def append_commit(self, ops_payload: bytes) -> int:
-        """Sequence one commit record into the group-commit queue and
-        block until it is durable; returns its LSN.
+        """Stage one commit record under the next LSN; returns the LSN.
 
-        The LSN is assigned under the queue lock — commit order on disk
-        is the order committers passed through here, regardless of how
-        the flusher batches them.  Called before the commit's in-memory
-        apply while holding the commit barrier's read side: if the
-        batch write (or its fsync, in ``commit`` durability) fails, the
-        whole batch is truncated back off the file, *every* waiter in
-        it gets :class:`~repro.errors.StorageError`, and none of their
-        applies proceed.  A failed batch leaves a gap in the LSN
+        Nothing is written until :meth:`flush`.  The commit leader is
+        the only caller, so LSN order is the order in which commits
+        reached its queue.  A failed flush leaves a gap in the LSN
         sequence, which is harmless — recovery replays by
-        ``lsn > snapshot lsn``, not by contiguity.  If even the
-        truncation fails, the store poisons itself — further commits
-        raise rather than write behind an unknown tail.
+        ``lsn > snapshot lsn``, not by contiguity.
         """
-        with self._group_cond:
-            if self._wal is None or self._wal.closed \
-                    or self._flusher_stop or self._flusher is None:
+        if self._wal is None or self._wal.closed:
+            raise StorageError(
+                "durable store is closed, or its WAL is in an unknown "
+                "state after a failed append — reopen the database")
+        self._allocated_lsn += 1
+        record = bytearray()
+        encode_varint(record, self._allocated_lsn)
+        record += ops_payload
+        self._staged.append(frame_record(bytes(record)))
+        return self._allocated_lsn
+
+    def flush(self) -> None:
+        """Append every staged record with one write and (per
+        durability) one fsync; fail all-or-none.
+
+        If the write or its fsync fails, the whole batch is truncated
+        back off the file and :class:`~repro.errors.StorageError` is
+        raised for all of it.  If even the truncation fails, the store
+        poisons itself — further commits raise rather than write behind
+        an unknown tail.
+        """
+        staged, self._staged = self._staged, []
+        if not staged:
+            return
+        wal = self._wal
+        if wal is None or wal.closed:
+            raise StorageError(
+                "WAL is in an unknown state after a failed append")
+        frame = b"".join(staged)
+        offset = os.fstat(wal.fileno()).st_size
+        try:
+            written = wal.write(frame)
+            if written != len(frame):
                 raise StorageError(
-                    "durable store is closed, or its WAL is in an "
-                    "unknown state after a failed append — reopen the "
-                    "database")
-            self._allocated_lsn += 1
-            lsn = self._allocated_lsn
-            record = bytearray()
-            encode_varint(record, lsn)
-            record += ops_payload
-            ticket = _CommitTicket(frame_record(bytes(record)), lsn)
-            self._pending.append(ticket)
-            self._group_cond.notify_all()
-        ticket.event.wait()
-        if ticket.error is not None:
+                    f"short WAL write ({written}/{len(frame)} bytes)")
+            if self.durability == "commit":
+                os.fsync(wal.fileno())
+        # the tail must be rolled back whatever interrupted the write
+        except BaseException as exc:  # repro: allow(hygiene-broad-except)
+            self._fail_append(offset)
+            if not isinstance(exc, Exception):
+                raise
             raise StorageError(
                 f"commit was not made durable (its group-commit batch "
-                f"failed): {ticket.error}")
-        return lsn
+                f"failed): {exc}") from exc
+        self.last_lsn = self._allocated_lsn
+        self.flush_batches += 1
+        self.flushed_records += len(staged)
+        self.bytes_since_checkpoint += len(frame)
 
-    def _flush_loop(self) -> None:
-        """The flusher thread: drain the pending queue in batches, one
-        ``write()`` + (per durability) one fsync per batch.
-
-        This thread owns only the WAL tail.  It must never touch the
-        catalog or any engine lock — committers are *blocked on it*
-        while holding their commit locks, so any such dependency is a
-        deadlock (machine-checked by the ``lock-flusher`` analysis
-        rule).
-        """
-        while True:
-            with self._group_cond:
-                while not self._pending and not self._flusher_stop:
-                    self._group_cond.wait()
-                if not self._pending:
-                    return          # stop requested and queue drained
-                if self.group_commit_ms > 0 and not self._flusher_stop:
-                    # linger: let concurrent committers join this batch
-                    self._group_cond.wait(self.group_commit_ms / 1000.0)
-                batch = self._pending
-                self._pending = []
-            self._flush_batch(batch)
-
-    def _flush_batch(self, batch: list[_CommitTicket]) -> None:
-        """Append *batch* as one write (one fsync); fail all-or-none."""
-        failure: "BaseException | None" = None
-        frame = b"".join(ticket.frame for ticket in batch)
-        with self._io_lock:
-            wal = self._wal
-            if wal is None or wal.closed:
-                failure = StorageError(
-                    "WAL is in an unknown state after a failed append")
-            else:
-                offset = os.fstat(wal.fileno()).st_size
-                try:
-                    written = wal.write(frame)
-                    if written != len(frame):
-                        raise StorageError(
-                            f"short WAL write ({written}/{len(frame)} "
-                            f"bytes)")
-                    if self.durability == "commit":
-                        os.fsync(wal.fileno())
-                # a raise here would escape into the daemon flusher
-                # thread and strand every waiter; the failure is
-                # converted to StorageError and re-raised by each
-                # committer blocked on this batch (append_commit)
-                except BaseException as exc:  # repro: allow(hygiene-broad-except)
-                    self._fail_append(offset)
-                    failure = exc
-        if failure is None:
-            self.last_lsn = batch[-1].lsn
-            self.flush_batches += 1
-            self.flushed_records += len(batch)
-            self.bytes_since_checkpoint += len(frame)
-            event = self.growth_event
-            if event is not None and self.growth_threshold > 0 \
-                    and self.bytes_since_checkpoint >= \
-                    self.growth_threshold:
-                event.set()
-        for ticket in batch:
-            ticket.error = failure
-            ticket.event.set()
+    def discard_staged(self) -> None:
+        """Drop staged records unwritten (a batch the leader abandoned
+        before its flush)."""
+        self._staged = []
 
     def _fail_append(self, offset: int) -> None:
         """Roll a failed batch back off the file (or poison the store).
@@ -376,28 +299,22 @@ class DurableStore:
     def checkpoint(self, catalog: Catalog) -> None:
         """Compact the WAL into a fresh snapshot of *catalog*.
 
-        Called with the engine's commit barrier held exclusively plus
-        its write lock, so no commit is between LSN assignment and
-        publish: the image and the LSN it claims to incorporate are
-        consistent, and every allocated LSN is flushed.  The IO lock is
-        belt-and-braces against a flusher batch that could otherwise
-        straddle the handle swap.
+        Called by the engine's commit leader under ``engine.lock``, so
+        no batch is between its flush and its publish: the image and
+        the LSN it claims to incorporate are consistent.
         """
-        with self._io_lock:
-            if self._wal is not None:
-                os.fsync(self._wal.fileno())
-            write_snapshot(self.snapshot_path, catalog, self.last_lsn)
-            # the snapshot is durable past every logged record: the WAL
-            # can restart empty (its records are <= last_lsn and would
-            # be skipped anyway — truncation only reclaims space)
-            if self._wal is not None:
-                self._wal.close()
-            self._wal = open(self.wal_path, "wb", buffering=0)
-            self._wal.write(WAL_MAGIC)
+        if self._wal is not None:
             os.fsync(self._wal.fileno())
-            self.bytes_since_checkpoint = 0
-            if self.growth_event is not None:
-                self.growth_event.clear()
+        write_snapshot(self.snapshot_path, catalog, self.last_lsn)
+        # the snapshot is durable past every logged record: the WAL can
+        # restart empty (its records are <= last_lsn and would be
+        # skipped anyway — truncation only reclaims space)
+        if self._wal is not None:
+            self._wal.close()
+        self._wal = open(self.wal_path, "wb", buffering=0)
+        self._wal.write(WAL_MAGIC)
+        os.fsync(self._wal.fileno())
+        self.bytes_since_checkpoint = 0
 
 
 def save_database(path: str | Path, catalog: Catalog) -> Path:

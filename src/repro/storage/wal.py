@@ -208,7 +208,7 @@ def encode_commit_ops(ops: list[tuple]) -> bytes:
 
 # repro: allow(lock-discipline) - replay mutates a catalog that is
 # private to the recovery pass: DurableStore.open rebuilds it before
-# the Engine (and its RWLock) exists or any session can see it.
+# the Engine exists or any session can see it.
 def _apply_rows_delta(catalog: Catalog, name: str,
                       deleted: list[tuple], inserted: list[tuple],
                       dirty: "set[str] | None") -> None:

@@ -24,6 +24,7 @@ a loser retries at most once per concurrent commit), not by time.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -198,10 +199,10 @@ class TestUniqueIndexUnderConcurrency:
 
 
 class TestPerTableCommitLocking:
-    """The multi-writer conflict matrix for the per-table lock manager:
-    commits conflict exactly on overlapping conflict sets (written /
-    dropped / created tables plus index-DDL targets), never on mere
-    engine sharing, and losing a race raises
+    """The multi-writer conflict matrix of the commit leader: commits
+    conflict exactly on overlapping conflict sets (written / dropped /
+    created tables plus index-DDL targets), never on mere engine
+    sharing, and losing a race raises
     :class:`~repro.SerializationError` — a ``TransactionError`` so every
     existing retry loop keeps working."""
 
@@ -272,34 +273,6 @@ class TestPerTableCommitLocking:
         assert index.table == "a"       # the winner's definition stands
         engine.close()
 
-    def test_commits_only_block_on_their_own_tables(self):
-        """Deterministic proof the lock manager scopes commit mutual
-        exclusion by name: while ``t:a`` is held externally, a commit on
-        ``b`` completes, a commit on ``a`` parks, and releasing the key
-        admits it."""
-        engine, setup = self._engine()
-        done_b = threading.Event()
-        done_a = threading.Event()
-
-        def insert(table: str, done: threading.Event) -> None:
-            conn = engine.connect()
-            conn.insert(table, [(9,)])      # autocommit: one commit
-            done.set()
-            conn.close()
-
-        with engine.table_locks.acquire(["t:a"]):
-            thread_b = threading.Thread(target=insert, args=("b", done_b))
-            thread_b.start()
-            assert done_b.wait(10)          # sails past the held a-key
-            thread_a = threading.Thread(target=insert, args=("a", done_a))
-            thread_a.start()
-            thread_b.join(10)
-            assert not done_a.is_set()      # parked on t:a (held here)
-        assert done_a.wait(10)
-        thread_a.join(10)
-        assert setup.execute("SELECT x FROM a").rows == [(9,)]
-        engine.close()
-
     def test_autocommit_retries_serialization_losses(self):
         """Statement-level autocommit must absorb first-committer-wins
         losses internally: concurrent single-statement INSERTs on one
@@ -327,8 +300,7 @@ class TestPerTableCommitLocking:
 
     def test_balanced_invariant_under_table_locking(self):
         """The atomic-visibility stress from above with writers only:
-        the lock manager changes throughput, never isolation
-        semantics."""
+        batching changes throughput, never isolation semantics."""
         engine = Engine()
         setup = engine.connect()
         setup.execute("CREATE TABLE acc (tag int, v int)")
@@ -361,7 +333,7 @@ class TestPerTableCommitLocking:
         engine.close()
 
     def test_view_ddl_takes_the_catalog_barrier(self):
-        """Catalog-wide DDL (views) uses the global barrier path and
+        """Catalog-wide DDL (views) commits in a batch of its own and
         still serializes correctly against table writers."""
         engine, setup = self._engine()
         setup.insert("a", [(1,), (2,)])
@@ -380,6 +352,124 @@ class TestPerTableCommitLocking:
         assert sorted(setup.execute("SELECT x FROM va").rows) == \
             [(1,), (2,)]
         engine.close()
+
+
+class TestCommitLeader:
+    """The commit sequencer's liveness: ``exclusive()`` composes with
+    queued commits, and a durable engine needs no helper thread."""
+
+    def test_commit_inside_exclusive_while_another_is_queued(self):
+        """The exclusive holder commits inline as the leader while
+        another thread's commit waits in the queue; both land, neither
+        thread hangs."""
+        engine = Engine()
+        setup = engine.connect()
+        setup.execute("CREATE TABLE a (x int)")
+        setup.execute("CREATE TABLE b (x int)")
+        errors: list = []
+
+        def run(action) -> None:
+            try:
+                action()
+            except Exception as exc:      # noqa: BLE001 — asserted on
+                errors.append(exc)
+
+        # opened before the hold: its commit needs no snapshot, so it
+        # really reaches the queue while exclusive() is held
+        other = engine.connect()
+        other.begin()
+        other.execute("INSERT INTO b VALUES (2)")
+        queued = threading.Thread(target=run, args=(other.commit,),
+                                  daemon=True)
+
+        def hold_and_commit() -> None:
+            with engine.exclusive():
+                queued.start()
+                deadline = time.monotonic() + 10
+                while not engine._queue:
+                    if time.monotonic() > deadline:
+                        errors.append("the other commit never queued")
+                        break
+                    time.sleep(0.001)
+                run(lambda: setup.insert("a", [(1,)]))
+
+        holder = threading.Thread(target=hold_and_commit, daemon=True)
+        holder.start()
+        holder.join(10)
+        queued.join(10)
+        assert not holder.is_alive() and not queued.is_alive()
+        assert errors == []
+        assert setup.execute("SELECT x FROM a").rows == [(1,)]
+        assert setup.execute("SELECT x FROM b").rows == [(2,)]
+        other.close()
+        engine.close()
+
+    def test_leader_hand_offs_lose_no_commit(self, tmp_path):
+        """Six durable writers, a tiny switch interval: every thread
+        leads, waits and hands off many times, half of them colliding
+        on one shared table.  A lost or doubled commit would break the
+        counts, in memory and after reopen."""
+        import sys
+
+        engine = Engine(path=str(tmp_path / "db"))
+        setup = engine.connect()
+        setup.execute("CREATE TABLE shared (w int)")
+        writers, per_writer = 6, 20
+        for w in range(writers):
+            setup.execute(f"CREATE TABLE own{w} (i int)")
+        start = threading.Barrier(writers)
+        errors: list = []
+
+        def writer(w: int) -> None:
+            try:
+                conn = engine.connect()
+                start.wait()
+                for i in range(per_writer):
+                    conn.insert(f"own{w}", [(i,)])
+                    if w % 2 == 0:
+                        conn.insert("shared", [(w,)])   # retried on loss
+                conn.close()
+            except Exception as exc:      # noqa: BLE001 — asserted on
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,),
+                                        daemon=True)
+                       for w in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        expected_shared = per_writer * len(range(0, writers, 2))
+        store = engine.storage
+        assert store.flushed_records == store.last_lsn
+        engine.close()
+        reopened = Engine(path=str(tmp_path / "db"))
+        try:
+            catalog = reopened.catalog
+            for w in range(writers):
+                assert sorted(catalog.get(f"own{w}").rows) == \
+                    [(i,) for i in range(per_writer)]
+            assert len(catalog.get("shared").rows) == expected_shared
+        finally:
+            reopened.close()
+
+    def test_durable_engine_starts_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        engine = Engine(path=str(tmp_path / "db"))
+        conn = engine.connect()
+        conn.execute("CREATE TABLE t (x int)")
+        for value in range(50):
+            conn.insert("t", [(value,)])
+        assert set(threading.enumerate()) == before
+        engine.close()
+        assert set(threading.enumerate()) == before
 
 
 class TestSharedPlanCacheUnderConcurrency:

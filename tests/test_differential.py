@@ -146,26 +146,26 @@ def assert_equal_queries(mem, dur):
         assert dur.plan_cache.hits > hits[1]
 
 
-def _run_differential(tmp_path, steps: int, **durable_options):
+def test_differential_workload(tmp_path):
     rng = random.Random(SEED)
     workload = Workload(rng)
     dbdir = str(tmp_path / "db")
     mem = connect()
-    dur = connect(path=dbdir, **durable_options)
+    dur = connect(path=dbdir)
     reopens = 0
     try:
-        for step in range(steps):
+        for step in range(STEPS):
             for sql in workload.next_statements(mem):
                 run_both(mem, dur, sql)
             if (step + 1) % REOPEN_EVERY == 0:
                 if rng.random() < 0.5:
                     dur.execute("CHECKPOINT")     # vary what replay sees
                 dur.close()
-                dur = connect(path=dbdir, **durable_options)
+                dur = connect(path=dbdir)
                 reopens += 1
                 assert_equal_databases(mem, dur)
                 assert_equal_queries(mem, dur)
-        assert reopens == steps // REOPEN_EVERY
+        assert reopens == STEPS // REOPEN_EVERY
         assert_equal_databases(mem, dur)
         assert_equal_queries(mem, dur)
         # the workload must actually have exercised the interesting ops
@@ -173,16 +173,3 @@ def _run_differential(tmp_path, steps: int, **durable_options):
     finally:
         mem.close()
         dur.close()
-
-
-def test_differential_workload(tmp_path):
-    _run_differential(tmp_path, STEPS)
-
-
-def test_differential_workload_with_group_commit_linger(tmp_path):
-    """The same lockstep oracle with a nonzero group-commit window: the
-    flusher's lingering/batching must be invisible to durability — every
-    committed statement is on disk when ``commit`` returns, so each
-    reopen still recovers a database equal to the in-memory twin."""
-    _run_differential(tmp_path, steps=3 * REOPEN_EVERY,
-                      group_commit_ms=2.0)

@@ -552,84 +552,101 @@ class TestRecoveryLifecycle:
 
 
 class TestGroupCommit:
-    """Group-commit batching: determinism, all-or-none batch failure,
-    torn multi-record batches, and the linger window.
+    """Group-commit batching: determinism, conflict splitting,
+    all-or-none batch failure and torn multi-record batches.
 
-    The deterministic scheme: hold ``store._io_lock`` and issue one
-    sacrificial commit — the flusher drains it and parks inside
-    ``_flush_batch`` on that lock.  Tickets enqueued now *cannot* leave
-    ``_pending`` until the lock is released, so "two committers in one
-    batch" is a certainty, not a race.  Committers must target disjoint
-    tables (same-table committers serialize on the per-table commit
-    lock *before* reaching the WAL queue, so they can never share a
-    batch — that ordering is exactly what makes batch failure safe).
+    The deterministic scheme: a sacrificial commit becomes the commit
+    leader and parks inside its own fsync (a patched ``os.fsync`` waits
+    on an event).  Commits issued now queue behind that leader and
+    *cannot* be handled until the event is set, so "two committers in
+    one batch" is a certainty, not a race.
     """
 
-    def _pinned_pair(self, engine, monkeypatch=None, arm=None):
-        """Pin the flusher, run two disjoint-table committers into one
-        pending batch, optionally arm a fault, release; returns the
-        per-thread outcomes."""
+    def _pinned(self, engine, monkeypatch, commits, fail_batch=False):
+        """Park a leader (inserting into ``s``) in its fsync, queue each
+        of *commits* (callables) behind it in order, release; returns
+        the outcomes (``"s"`` and each commit's position) and the number
+        of fsyncs issued.  With *fail_batch* the fsync after the
+        leader's own one fails."""
         import threading
-        import time
 
-        store = engine.storage
+        import repro.storage.store as store_mod
+
+        real_fsync = os.fsync
+        parked, release = threading.Event(), threading.Event()
+        fsyncs = [0]
+
+        def gated_fsync(fd):
+            fsyncs[0] += 1
+            if fsyncs[0] == 1:
+                parked.set()
+                assert release.wait(10)
+            elif fsyncs[0] == 2 and fail_batch:
+                raise OSError(5, "injected I/O error")
+            return real_fsync(fd)
+
         outcomes: dict = {}
 
-        def insert(table: str) -> None:
-            conn = engine.connect()
+        def run(key, commit) -> None:
             try:
-                conn.insert(table, [(7,)])
-                outcomes[table] = "ok"
+                commit()
+                outcomes[key] = "ok"
             except Exception as exc:      # noqa: BLE001 — recorded, asserted on
-                outcomes[table] = exc
-            finally:
-                conn.close()
+                outcomes[key] = exc
 
-        lsn0 = store._allocated_lsn
-        with store._io_lock:
-            pin = threading.Thread(target=insert, args=("s",))
-            pin.start()
-            # wait until the sacrificial ticket was allocated (the LSN
-            # moved — unlike the queue, never a transient state) *and*
-            # drained: the flusher is now parked on the io lock
+        monkeypatch.setattr(store_mod.os, "fsync", gated_fsync)
+        threads = [threading.Thread(
+            target=run, args=("s", lambda: _insert(engine, "s")))]
+        try:
+            threads[0].start()
+            assert parked.wait(10)
             deadline = time.monotonic() + 10
-            while not (store._allocated_lsn == lsn0 + 1
-                       and not store._pending):
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            a = threading.Thread(target=insert, args=("a",))
-            b = threading.Thread(target=insert, args=("b",))
-            a.start()
-            b.start()
-            while len(store._pending) < 2:      # both tickets queued
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            if arm is not None:
-                arm()
-        for thread in (pin, a, b):
-            thread.join(10)
-            assert not thread.is_alive()
-        return outcomes
+            for position, commit in enumerate(commits):
+                threads.append(threading.Thread(target=run,
+                                                args=(position, commit)))
+                threads[-1].start()
+                while len(engine._queue) <= position:   # queued, in order
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            release.set()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            release.set()
+            monkeypatch.setattr(store_mod.os, "fsync", real_fsync)
+        return outcomes, fsyncs[0]
 
-    def _engine(self, tmp_path, **options):
-        from repro import Engine, SessionConfig
+    def _engine(self, tmp_path):
+        from repro import Engine
 
-        engine = Engine(SessionConfig(**options), path=str(tmp_path / "db"))
+        engine = Engine(path=str(tmp_path / "db"))
         setup = engine.connect()
         for table in ("s", "a", "b"):
             setup.execute(f"CREATE TABLE {table} (x int)")
         setup.close()
         return engine
 
-    def test_concurrent_committers_share_one_flush_batch(self, tmp_path):
+    def _pinned_pair(self, engine, monkeypatch, fail_batch=False):
+        """Two disjoint-table autocommits queued behind a parked
+        leader."""
+        return self._pinned(engine, monkeypatch,
+                            [lambda: _insert(engine, "a"),
+                             lambda: _insert(engine, "b")],
+                            fail_batch=fail_batch)
+
+    def test_concurrent_committers_share_one_flush_batch(
+            self, tmp_path, monkeypatch):
         engine = self._engine(tmp_path)
         store = engine.storage
         batches0, records0 = store.flush_batches, store.flushed_records
-        outcomes = self._pinned_pair(engine)
-        assert outcomes == {"s": "ok", "a": "ok", "b": "ok"}
-        # the sacrificial commit flushed alone; a and b shared a batch
+        outcomes, fsyncs = self._pinned_pair(engine, monkeypatch)
+        assert outcomes == {"s": "ok", 0: "ok", 1: "ok"}
+        # the leader's own commit flushed alone; a and b shared a batch
+        # and its one fsync
         assert store.flush_batches == batches0 + 2
         assert store.flushed_records == records0 + 3
+        assert fsyncs == 2
         engine.close()
         reopened = connect(path=str(tmp_path / "db"))
         try:
@@ -638,43 +655,52 @@ class TestGroupCommit:
         finally:
             reopened.close()
 
+    def test_conflicting_queued_commits_split_into_two_batches(
+            self, tmp_path, monkeypatch):
+        """Two explicit transactions on one table, both queued behind a
+        parked leader: the leader never batches them together — the
+        first lands, the second validates against it and loses."""
+        from repro import SerializationError
+
+        engine = self._engine(tmp_path)
+        store = engine.storage
+        first, second = engine.connect(), engine.connect()
+        for conn, value in ((first, 1), (second, 2)):
+            conn.execute("BEGIN")
+            conn.execute(f"INSERT INTO a VALUES ({value})")
+        batches0 = store.flush_batches
+        outcomes, _ = self._pinned(
+            engine, monkeypatch, [lambda: first.execute("COMMIT"),
+                                  lambda: second.execute("COMMIT")])
+        assert outcomes["s"] == "ok" and outcomes[0] == "ok"
+        assert isinstance(outcomes[1], SerializationError)
+        assert "could not serialize" in str(outcomes[1])
+        # the leader's batch, then the winner's alone; the loser logs
+        # nothing
+        assert store.flush_batches == batches0 + 2
+        assert engine.catalog.get("a").rows == [(1,)]
+        first.close()
+        second.close()
+        engine.close()
+
     def test_batch_fsync_failure_fails_every_waiter(
             self, tmp_path, monkeypatch):
         """One failed fsync aborts *both* commits in the batch: neither
         publishes, the batch is truncated off the WAL, and the engine
         keeps working afterwards."""
-        import repro.storage.store as store_mod
         from repro import StorageError
 
         engine = self._engine(tmp_path)
-        store = engine.storage
-        real_fsync = os.fsync
-        calls = [0]
-
-        def counting_fsync(fd):
-            calls[0] += 1
-            # call 1 after arming: the sacrificial batch (succeeds);
-            # call 2: the a+b batch (fails); call 3+: the truncation
-            # fsync and everything later succeed
-            if calls[0] == 2:
-                raise OSError(5, "injected I/O error")
-            return real_fsync(fd)
-
-        outcomes = self._pinned_pair(
-            engine,
-            arm=lambda: monkeypatch.setattr(
-                store_mod.os, "fsync", counting_fsync))
-        monkeypatch.setattr(store_mod.os, "fsync", real_fsync)
+        outcomes, _ = self._pinned_pair(engine, monkeypatch,
+                                        fail_batch=True)
         assert outcomes["s"] == "ok"
-        for table in ("a", "b"):
-            assert isinstance(outcomes[table], StorageError)
-            assert "group-commit batch failed" in str(outcomes[table])
+        for key, table in ((0, "a"), (1, "b")):
+            assert isinstance(outcomes[key], StorageError)
+            assert "group-commit batch failed" in str(outcomes[key])
             # neither loser published anything in memory
             assert engine.catalog.get(table).rows == []
         # the engine stays usable: the WAL tail was rolled back cleanly
-        conn = engine.connect()
-        conn.insert("a", [(42,)])
-        conn.close()
+        _insert(engine, "a", 42)
         engine.close()
         reopened = connect(path=str(tmp_path / "db"))
         try:
@@ -685,13 +711,13 @@ class TestGroupCommit:
             reopened.close()
 
     def test_torn_multi_record_batch_replays_only_the_intact_prefix(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """Cut the WAL inside the second record of a two-record batch:
         recovery must apply the batch's first commit and discard the
         torn one — batches are a flush optimization, not a recovery
         unit."""
         engine = self._engine(tmp_path)
-        outcomes = self._pinned_pair(engine)
+        outcomes, _ = self._pinned_pair(engine, monkeypatch)
         assert set(outcomes.values()) == {"ok"}
         engine.close()
 
@@ -706,37 +732,27 @@ class TestGroupCommit:
         reopened = _reopen_with_wal(dbdir, str(tmp_path / "scratch"),
                                     wal_bytes[:cut])
         try:
-            survivors = [t for t in ("a", "b")
-                         if reopened.catalog.get(t).rows == [(7,)]]
-            # exactly the batch's first record survived the tear
-            assert len(survivors) == 1
+            # a queued first, so its record is the batch's intact one
+            assert reopened.catalog.get("a").rows == [(7,)]
+            assert reopened.catalog.get("b").rows == []
             assert reopened.catalog.get("s").rows == [(7,)]
         finally:
             reopened.close()
 
-    def test_linger_window_commits_are_durable(self, tmp_path):
-        """A nonzero group_commit_ms delays the fsync to gather a
-        batch, but append_commit still blocks until *its* record is
-        durable — close/reopen loses nothing."""
-        engine = self._engine(tmp_path, group_commit_ms=5.0)
-        conn = engine.connect()
-        for value in (1, 2, 3):
-            conn.insert("a", [(value,)])
+
+def _insert(engine, table: str, value: int = 7) -> None:
+    """One autocommit single-row insert on a fresh session."""
+    conn = engine.connect()
+    try:
+        conn.insert(table, [(value,)])
+    finally:
         conn.close()
-        store = engine.storage
-        assert store.flushed_records >= 3
-        engine.close()
-        reopened = connect(path=str(tmp_path / "db"))
-        try:
-            assert Counter(reopened.catalog.get("a").rows) == \
-                Counter([(1,), (2,), (3,)])
-        finally:
-            reopened.close()
 
 
-class TestBackgroundCheckpointer:
-    """``checkpoint_wal_mb``: the flusher flags a dedicated thread once
-    the WAL outgrows the budget; committers never compact themselves."""
+class TestInlineCheckpoint:
+    """``checkpoint_wal_mb``: the commit leader compacts right after the
+    batch that takes the WAL past the budget, before that commit
+    returns."""
 
     #: one committed INSERT of this many rows logs ~0.6 MiB
     ROWS = [(i, "x" * 600) for i in range(1000)]
@@ -748,16 +764,12 @@ class TestBackgroundCheckpointer:
         conn.insert("blob", self.ROWS)
         return conn
 
-    def test_wal_budget_triggers_a_background_checkpoint(self, tmp_path):
+    def test_wal_budget_checkpoints_before_the_commit_returns(
+            self, tmp_path):
         dbdir = str(tmp_path / "db")
         conn = self._commit_past_one_mib(dbdir, budget_mb=1)
         snapshot = os.path.join(dbdir, SNAPSHOT_FILE)
         wal = os.path.join(dbdir, WAL_FILE)
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline and not (
-                os.path.exists(snapshot)
-                and os.path.getsize(wal) == len(WAL_MAGIC)):
-            time.sleep(0.02)
         assert os.path.getsize(snapshot) > 1024 * 1024
         assert os.path.getsize(wal) == len(WAL_MAGIC)   # compacted
         conn.insert("blob", [(-1, "after")])            # still writable
@@ -772,8 +784,6 @@ class TestBackgroundCheckpointer:
     def test_zero_budget_never_compacts(self, tmp_path):
         dbdir = str(tmp_path / "db")
         conn = self._commit_past_one_mib(dbdir, budget_mb=0)
-        assert conn.engine._checkpoint_thread is None
-        time.sleep(0.2)     # a (wrongly) armed checkpointer would fire
         assert not os.path.exists(os.path.join(dbdir, SNAPSHOT_FILE))
         assert os.path.getsize(os.path.join(dbdir, WAL_FILE)) \
             > 1024 * 1024

@@ -1,257 +1,26 @@
-"""Regression tests for :class:`repro.api.engine.RWLock` re-entrancy
-and for the per-table commit lock manager.
-
-The two RWLock regressions here reproduce real deadlocks/corruptions in
-the pre-fix lock (both are *guaranteed* to fail there — the first hung
-forever, the second tripped the reader bookkeeping):
-
-* **re-entrant read behind a waiting writer** — writer preference sent
-  a thread's *second* ``acquire_read`` to the back of the queue.  The
-  waiting writer can never run (the thread's first read entry is still
-  held), so both threads deadlocked.  Correct behavior: a thread that
-  was already admitted as a reader re-enters immediately.
-* **write-owner read release at depth 0** — a thread holding the write
-  lock may take the read side (it shares the write depth), but the
-  owner's ``release_read`` only decremented the depth: when it dropped
-  the *last* write entry (guards released in acquisition order), the
-  owner was never cleared and waiters were never woken — the lock
-  wedged forever.  Correct behavior: the owner's read release routes
-  through the write-release bookkeeping, which clears and notifies at
-  depth 0 and keeps the lock held otherwise.
-
-All synchronization is event-based; the only bounded spin is the wait
-for the writer thread to actually block inside ``acquire_write`` (there
-is deliberately no public hook for "a writer is queued").  Threads are
-daemons so a regression fails the assertion instead of hanging CI.
+"""Engine lock wiring: ``exclusive()`` (commit leadership, then
+``engine.lock``) must admit the snapshots and commits the holding
+thread performs itself — the bulk-write path and the shell's ``\\tpch``
+loader run whole statements under it.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
-import pytest
-
-from repro import Engine, InterfaceError
-from repro.api.engine import RWLock, TableLockManager
-
-WAIT = 10.0     # generous upper bound for cross-thread events, seconds
-
-
-def _spin_until(predicate, timeout: float = WAIT) -> bool:
-    """Bounded poll for conditions with no event to wait on (a thread
-    being parked inside ``Condition.wait``)."""
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return True
-
-
-class TestReadReentrancy:
-    def test_reentrant_read_survives_a_waiting_writer(self):
-        """The deadlock regression: reader holds the lock, a writer
-        queues, the reader re-enters the read side — this must succeed
-        immediately (pre-fix, it queued behind the writer forever)."""
-        lock = RWLock()
-        reentered = threading.Event()
-        release_reader = threading.Event()
-
-        def writer() -> None:
-            with lock.write():
-                pass
-
-        writer_thread = threading.Thread(target=writer, daemon=True)
-
-        def reader() -> None:
-            with lock.read():
-                writer_thread.start()
-                # the writer must be parked in acquire_write before the
-                # re-entrant read, or the test would not exercise the
-                # writer-preference path at all
-                assert _spin_until(lambda: lock._writers_waiting == 1)
-                with lock.read():
-                    reentered.set()
-                    release_reader.wait(WAIT)
-
-        reader_thread = threading.Thread(target=reader, daemon=True)
-        reader_thread.start()
-        assert reentered.wait(WAIT), \
-            "re-entrant acquire_read deadlocked behind the waiting writer"
-        release_reader.set()
-        reader_thread.join(WAIT)
-        writer_thread.join(WAIT)
-        assert not writer_thread.is_alive()     # writer got its turn
-        with lock.write():                      # and fully released it
-            pass
-
-    def test_nested_read_guards_balance(self):
-        lock = RWLock()
-        with lock.read():
-            with lock.read():
-                with lock.read():
-                    pass
-        # fully released: a writer acquires without waiting
-        with lock.write():
-            pass
-
-    def test_unbalanced_read_release_is_rejected(self):
-        lock = RWLock()
-        with pytest.raises(AssertionError, match="matching acquire_read"):
-            lock.release_read()
-        with lock.read():
-            pass
-        with pytest.raises(AssertionError, match="matching acquire_read"):
-            lock.release_read()
-
-
-class TestWriteOwnerReadSharing:
-    def test_write_owner_read_release_keeps_the_lock(self):
-        """The bookkeeping regression: owner takes and releases the read
-        side — the write lock must survive until release_write."""
-        lock = RWLock()
-        me = threading.get_ident()
-        lock.acquire_write()
-        lock.acquire_read()
-        lock.release_read()
-        # still exclusively held by this thread, depth back to 1
-        assert lock._writer == me
-        assert lock._write_depth == 1
-        assert lock._readers == 0       # pre-fix: went to -1 here
-
-        acquired = threading.Event()
-
-        def reader() -> None:
-            with lock.read():
-                acquired.set()
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        assert not acquired.is_set()    # cannot pass while we own it
-        lock.release_write()
-        assert acquired.wait(WAIT)
-        thread.join(WAIT)
-
-    def test_out_of_order_owner_release_still_frees_the_lock(self):
-        """The depth-0 regression: guards releasing in acquisition order
-        (write, read released write-first) dropped the last write entry
-        through the *reader* path, which never cleared the owner or woke
-        waiters — the lock wedged forever.  The owner's read release
-        must route through the write-release bookkeeping instead."""
-        lock = RWLock()
-        lock.acquire_write()
-        lock.acquire_read()     # shares the write depth (now 2)
-        lock.release_write()    # depth 1 — still exclusively held
-        lock.release_read()     # depth 0: must clear the owner + notify
-        assert lock._writer is None
-        assert lock._write_depth == 0
-        admitted = threading.Event()
-
-        def reader() -> None:
-            with lock.read():
-                admitted.set()
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        assert admitted.wait(WAIT), \
-            "lock stayed wedged after an out-of-order owner release"
-        thread.join(WAIT)
-        with lock.write():      # re-acquirable from this thread too
-            pass
-
-    def test_write_reentry_and_guard_nesting(self):
-        lock = RWLock()
-        with lock.write():
-            with lock.write():
-                with lock.read():       # shares the write depth
-                    pass
-        assert lock._writer is None
-        with lock.read():
-            pass
-
-    def test_read_to_write_upgrade_raises_instead_of_deadlocking(self):
-        lock = RWLock()
-        with lock.read():
-            with pytest.raises(InterfaceError,
-                               match="read-to-write lock upgrade"):
-                lock.acquire_write()
-        # the failed upgrade left no residue
-        with lock.write():
-            pass
-
-    def test_release_write_by_non_owner_is_rejected(self):
-        lock = RWLock()
-        with pytest.raises(AssertionError, match="does not own"):
-            lock.release_write()
-
-
-class TestTableLockManager:
-    def test_same_key_resolves_to_the_same_lock(self):
-        manager = TableLockManager()
-        assert manager._lock_for("t:a") is manager._lock_for("t:a")
-        assert manager._lock_for("t:a") is not manager._lock_for("t:b")
-
-    def test_disjoint_sets_do_not_block_each_other(self):
-        manager = TableLockManager()
-        passed = threading.Event()
-        with manager.acquire(["t:a", "i:x"]):
-            def other() -> None:
-                with manager.acquire(["t:b", "i:y"]):
-                    passed.set()
-            thread = threading.Thread(target=other, daemon=True)
-            thread.start()
-            assert passed.wait(WAIT)        # never touched our keys
-            thread.join(WAIT)
-
-    def test_overlapping_sets_serialize(self):
-        manager = TableLockManager()
-        entered = threading.Event()
-        with manager.acquire(["t:a", "t:b"]):
-            def other() -> None:
-                with manager.acquire(["t:b", "t:c"]):
-                    entered.set()
-            thread = threading.Thread(target=other, daemon=True)
-            thread.start()
-            # deterministic: other() cannot enter while we hold t:b
-            assert not entered.is_set()
-        assert entered.wait(WAIT)           # released -> admitted
-        thread.join(WAIT)
-
-    def test_reversed_key_order_cannot_deadlock(self):
-        """Two committers lock {a,b} and {b,a}: canonical ordering means
-        they contend on one key instead of deadlocking hand-over-hand."""
-        manager = TableLockManager()
-        start = threading.Barrier(2)
-        done = threading.Barrier(2, timeout=WAIT)
-
-        def committer(keys: list) -> None:
-            start.wait()
-            for _ in range(200):
-                with manager.acquire(keys):
-                    pass
-            done.wait()
-
-        a = threading.Thread(target=committer, args=(["t:a", "t:b"],),
-                             daemon=True)
-        b = threading.Thread(target=committer, args=(["t:b", "t:a"],),
-                             daemon=True)
-        a.start(); b.start()
-        a.join(WAIT); b.join(WAIT)
-        assert not a.is_alive() and not b.is_alive()
+from repro import Engine
 
 
 class TestEngineLockWiring:
-    def test_engine_exclusive_is_reentrant_with_reads(self):
-        """`exclusive()` (barrier + engine lock) must allow the nested
-        read acquisitions every query under it performs."""
+    def test_engine_exclusive_admits_snapshots_and_commits(self):
         engine = Engine()
         conn = engine.connect()
         conn.execute("CREATE TABLE t (x int)")
         conn.insert("t", [(1,), (2,)])
         with engine.exclusive():
-            with engine.lock.read():
-                assert engine.catalog.get("t").rows
+            assert engine.snapshot().get("t").rows
+            # a commit under it runs inline, as the leader
+            conn.insert("t", [(3,)])
+            assert len(engine.snapshot().get("t").rows) == 3
         # the session still works afterwards: nothing leaked
-        assert conn.execute("SELECT count(*) AS c FROM t").rows == [(2,)]
+        assert conn.execute("SELECT count(*) AS c FROM t").rows == [(3,)]
+        assert engine._leader is None
         engine.close()
