@@ -472,6 +472,49 @@ class TestCommitLeader:
         assert set(threading.enumerate()) == before
 
 
+class TestBatchSelection:
+    """``Engine._next_batch``: the leader takes the longest queue
+    prefix whose conflict sets are pairwise disjoint, and a catalog-wide
+    (view DDL) diff always goes alone — so a conflicting commit lands in
+    a later batch and validates against the published winner.  Each
+    case drains a queue of stub tickets and lists the batches by queue
+    position; ``"*"`` marks a catalog-wide diff."""
+
+    @staticmethod
+    def _ticket(keys):
+        from types import SimpleNamespace
+
+        from repro.api.engine import _CommitTicket
+
+        wide = keys == "*"
+        diff = SimpleNamespace(lock_keys=set() if wide else set(keys),
+                               catalog_wide=wide)
+        return _CommitTicket(None, diff)
+
+    @pytest.mark.parametrize("queue, batches", [
+        pytest.param(["a", "b", "c"], [[0, 1, 2]], id="disjoint"),
+        pytest.param(["a", "a", "b"], [[0], [1, 2]], id="overlap-second"),
+        pytest.param([{"a", "b"}, "c", {"b", "d"}], [[0, 1], [2]],
+                     id="overlap-through-multi-key"),
+        pytest.param(["", "", "a"], [[0, 1, 2]], id="empty-conflict-sets"),
+        pytest.param(["*", "a", "b"], [[0], [1, 2]], id="wide-first"),
+        pytest.param(["a", "*", "b"], [[0], [1], [2]], id="wide-middle"),
+        pytest.param(["*", "*"], [[0], [1]], id="wide-twice"),
+    ])
+    def test_drained_batches(self, queue, batches):
+        engine = Engine()
+        tickets = [self._ticket(keys) for keys in queue]
+        drained = []
+        with engine._commit_cond:
+            engine._queue.extend(tickets)
+            while engine._queue:
+                drained.append([tickets.index(t)
+                                for t in engine._next_batch()])
+        # queue order is kept inside and across batches
+        assert drained == batches
+        engine.close()
+
+
 class TestSharedPlanCacheUnderConcurrency:
     def test_concurrent_executions_of_one_cached_plan(self):
         """Many threads hammering the same SQL text must each get a

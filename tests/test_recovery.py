@@ -710,6 +710,114 @@ class TestGroupCommit:
         finally:
             reopened.close()
 
+    def test_batch_records_take_lsns_in_queue_order(
+            self, tmp_path, monkeypatch):
+        """Three disjoint commits queued behind a parked leader share
+        one batch, and their records are sequenced in queue order."""
+        from repro import Engine
+
+        engine = Engine(path=str(tmp_path / "db"))
+        setup = engine.connect()
+        names = ("alpha", "bravo", "charlie")
+        for table in ("s",) + names:
+            setup.execute(f"CREATE TABLE {table} (x int)")
+        setup.close()
+        store = engine.storage
+        real_append = store.append_commit
+        sequenced: list = []
+
+        def recording_append(payload):
+            lsn = real_append(payload)
+            sequenced.append((lsn, [n for n in names
+                                    if n.encode() in payload]))
+            return lsn
+
+        monkeypatch.setattr(store, "append_commit", recording_append)
+        outcomes, fsyncs = self._pinned(
+            engine, monkeypatch,
+            [lambda n=n: _insert(engine, n) for n in names])
+        assert set(outcomes.values()) == {"ok"}
+        assert fsyncs == 2
+        lsns = [lsn for lsn, _ in sequenced]
+        assert lsns == list(range(lsns[0], lsns[0] + 4))
+        assert [tables for _, tables in sequenced] == \
+            [[], ["alpha"], ["bravo"], ["charlie"]]
+        assert store.last_lsn == lsns[-1]
+        engine.close()
+
+    def test_a_validation_loser_does_not_fail_its_batch(
+            self, tmp_path, monkeypatch):
+        """A commit that loses first-committer-wins inside a batch gets
+        its SerializationError and logs nothing; the disjoint commit it
+        was batched with still lands, under the batch's one fsync."""
+        from repro import SerializationError
+
+        engine = self._engine(tmp_path)
+        store = engine.storage
+        loser = engine.connect()
+        loser.execute("BEGIN")
+        loser.execute("INSERT INTO a VALUES (1)")
+        _insert(engine, "a", 5)        # the winner, published already
+        batches0, records0 = store.flush_batches, store.flushed_records
+        outcomes, fsyncs = self._pinned(
+            engine, monkeypatch, [lambda: loser.execute("COMMIT"),
+                                  lambda: _insert(engine, "b")])
+        assert outcomes["s"] == "ok" and outcomes[1] == "ok"
+        assert isinstance(outcomes[0], SerializationError)
+        assert fsyncs == 2
+        assert store.flush_batches == batches0 + 2
+        assert store.flushed_records == records0 + 2     # s and b
+        assert engine.catalog.get("a").rows == [(5,)]
+        assert engine.catalog.get("b").rows == [(7,)]
+        loser.close()
+        engine.close()
+
+    def test_snapshots_never_wait_on_a_parked_fsync(
+            self, tmp_path, monkeypatch):
+        """While the leader sits in its fsync, another thread's snapshot
+        and SELECT return at once, without the unpublished commit."""
+        import threading
+
+        import repro.storage.store as store_mod
+
+        engine = self._engine(tmp_path)
+        _insert(engine, "a", 1)
+        real_fsync = os.fsync
+        parked, release = threading.Event(), threading.Event()
+
+        def gated_fsync(fd):
+            parked.set()
+            assert release.wait(10)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(store_mod.os, "fsync", gated_fsync)
+        leader = threading.Thread(target=_insert, args=(engine, "a", 2),
+                                  daemon=True)
+        seen: list = []
+
+        def read() -> None:
+            seen.append(engine.snapshot().get("a").rows)
+            reader = engine.connect()
+            seen.append(reader.execute("SELECT x FROM a").rows)
+            reader.close()
+
+        try:
+            leader.start()
+            assert parked.wait(10)
+            reading = threading.Thread(target=read, daemon=True)
+            reading.start()
+            reading.join(10)
+            assert not reading.is_alive()
+            assert leader.is_alive()           # still parked
+            assert seen == [[(1,)], [(1,)]]
+        finally:
+            release.set()
+            leader.join(10)
+            monkeypatch.setattr(store_mod.os, "fsync", real_fsync)
+        assert not leader.is_alive()
+        assert sorted(engine.catalog.get("a").rows) == [(1,), (2,)]
+        engine.close()
+
     def test_torn_multi_record_batch_replays_only_the_intact_prefix(
             self, tmp_path, monkeypatch):
         """Cut the WAL inside the second record of a two-record batch:
