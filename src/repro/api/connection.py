@@ -385,9 +385,13 @@ class Connection:
             stats = self._finish_stats(executor)
             root = stats.node_stats.get(id(instance.root))
             lines = [explain_physical(instance, stats=stats)]
-            lines.append(f"Result: {len(relation.rows)} row(s), "
-                         f"{root.batches if root else 0} batch(es), "
-                         f"batch size {self.config.batch_size}")
+            footer = (f"Result: {len(relation.rows)} row(s), "
+                      f"{root.batches if root else 0} batch(es), "
+                      f"batch size {self.config.batch_size}")
+            if stats.hashed_sublinks:
+                footer += (f", {stats.hashed_sublinks} hashed "
+                           f"sublink(s)")
+            lines.append(footer)
             if self.config.engine == "vectorized":
                 lines.append(
                     f"Vectorized: {stats.vectorized_nodes} columnar "

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 from ..catalog import Catalog
 from ..algebra.operators import Operator
+from ..expressions.probe import InitPlanRows
 from ..relation import Relation
 from .lowering import lower_plan
 from .physical import (
@@ -76,7 +77,7 @@ class Executor:
         self.params: tuple = ()
         self._pull_stack: list = []
         self._subplans: dict[int, SublinkPlan] = {}
-        self._initplan_cache: dict[int, list[tuple]] = {}
+        self._initplan_cache: dict[int, InitPlanRows] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -150,7 +151,9 @@ class Executor:
         """Execute a sublink query with *frames* visible as outer rows.
 
         InitPlans run once and cache their result for the lifetime of the
-        executor; SubPlans re-run per call with the caller's frames bound.
+        executor, as :class:`~repro.expressions.probe.InitPlanRows` — the
+        hashed probes of their ANY/ALL tests live and die with it;
+        SubPlans re-run per call with the caller's frames bound.
         """
         sub = self._subplans.get(id(query))
         if sub is None:
@@ -161,7 +164,7 @@ class Executor:
                 self.stats.sublink_cache_hits += 1
                 return cached
             self.stats.sublink_executions += 1
-            rows = self._drain(sub.plan, ())
+            rows = InitPlanRows(self._drain(sub.plan, ()), self.stats)
             self._initplan_cache[id(query)] = rows
             return rows
         self.stats.sublink_executions += 1

@@ -74,7 +74,19 @@ class SublinkPlan:
 
 class InitPlanSublink(SublinkPlan):
     """An uncorrelated sublink: executed at most once per statement, the
-    result cached for every later evaluation (PostgreSQL's InitPlan)."""
+    result cached for every later evaluation (PostgreSQL's InitPlan).
+
+    The executor caches the result as
+    :class:`~repro.expressions.probe.InitPlanRows`, so an ANY/ALL test
+    against it is a hashed probe, not a scan (PostgreSQL's hashed
+    SubPlan): ``= ANY`` / ``<> ALL`` look the test value up in a set of
+    the first column, ``<``/``<=``/``>``/``>=`` compare it with the
+    column's max or min.  The probe keeps the scan's 3VL — a miss is NULL
+    when the column holds a NULL, an empty result makes ANY FALSE and ALL
+    TRUE, a NULL test value is NULL over a non-empty result — and hands
+    back to the scan when the column mixes comparison classes or holds a
+    NaN, or the test value is NaN or of another class.  Nothing of the
+    probe is stored on this node: it lives and dies with the executor."""
 
     correlated = False
 

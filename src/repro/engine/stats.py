@@ -63,6 +63,10 @@ class ExecutionStats:
     batches_produced: int = 0
     sublink_executions: int = 0
     sublink_cache_hits: int = 0
+    #: InitPlan results that answered ANY/ALL tests through a hashed
+    #: probe (:class:`~repro.expressions.probe.InitPlanRows`), counted
+    #: once each when the probe's column summary is built.
+    hashed_sublinks: int = 0
     hash_joins: int = 0
     nested_loop_joins: int = 0
     index_nl_joins: int = 0

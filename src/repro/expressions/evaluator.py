@@ -26,6 +26,7 @@ from .ast import (
     SublinkKind,
 )
 from .functions import call_function
+from .probe import SCAN, InitPlanRows
 
 
 class Frame:
@@ -138,7 +139,17 @@ def _eval_sublink(node: Sublink, ctx: EvalContext,
                   row: Any = None) -> Any:
     """Run *node*'s query through the context's runner and apply its
     kind; an ANY/ALL test value is ``test(row, ctx)`` — the compiled
-    test from the row compiler, or the interpreter's."""
+    test from the row compiler, or the interpreter's.
+
+    ANY/ALL fold :func:`compare` over the first column in 3VL: ANY is
+    TRUE on a hit, else NULL if any comparison was NULL, else FALSE (so
+    FALSE over an empty result); ALL is its dual.  A cached InitPlan
+    result (:class:`~repro.expressions.probe.InitPlanRows`) answers the
+    test from its hashed probe instead — a set lookup or a min/max
+    comparison with the scan's exact 3VL value — and falls back to the
+    scan only where the probe declines (mixed-class column, NaN, or a
+    test value of another class), so errors stay the scan's own.
+    Correlated SubPlan results are plain lists and always scan."""
     if ctx.runner is None:
         raise ExecutionError(
             "sublink evaluated without an execution engine attached")
@@ -153,6 +164,11 @@ def _eval_sublink(node: Sublink, ctx: EvalContext,
                 f"scalar sublink returned {len(rows)} rows (expected <= 1)")
         return rows[0][0]
     test_value = test(row, ctx)
+    if type(rows) is InitPlanRows:
+        answer = rows.probe(node.kind is SublinkKind.ALL,
+                            node.op)(test_value)
+        if answer is not SCAN:
+            return answer
     if node.kind == SublinkKind.ANY:
         return tv_any(
             compare(node.op, test_value, found[0]) for found in rows)
